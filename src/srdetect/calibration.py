@@ -46,12 +46,17 @@ class BracketError(ValueError):
         )
 
 
-def f0_at(R: float, r_star: float, gamma: float, n_quad: int = 501) -> float:
+def f0_at(R, r_star, gamma: float, n_quad: int = 501):
     """Evaluate f0 at statistic value R for head start r_star.
 
     The integral term uses the ordinary trapezoid rule on n_quad uniform
-    points in x between 1/A and 1/R.  Requires 0 < R <= A.
+    points in x between 1/A and 1/R.  Requires 0 < R <= A.  R and r_star
+    may also be equal-shape arrays: every pair is then evaluated in one
+    e1_scaled call, and each entry equals the scalar call on that pair.
     """
+    if np.ndim(R) or np.ndim(r_star):
+        return _f0_at_array(np.asarray(R, dtype=float), np.asarray(r_star, dtype=float),
+                            gamma, n_quad)
     if not (np.isfinite(gamma) and gamma > 0.0):
         raise ValueError("gamma must be positive and finite")
     if not (np.isfinite(r_star) and r_star > 0.0):
@@ -69,6 +74,31 @@ def f0_at(R: float, r_star: float, gamma: float, n_quad: int = 501) -> float:
     else:
         xs = np.linspace(x_lo, x_hi, n_quad)
         integral = float(np.trapezoid(e1_scaled(xs) / xs, xs))
+    return slope * (R - A) + integral
+
+
+def _f0_at_array(R: np.ndarray, r_star: np.ndarray, gamma: float, n_quad: int) -> np.ndarray:
+    if R.shape != r_star.shape:
+        raise ValueError("R and r_star must have the same shape")
+    if not (np.isfinite(gamma) and gamma > 0.0):
+        raise ValueError("gamma must be positive and finite")
+    if not np.all(np.isfinite(r_star) & (r_star > 0.0)):
+        raise ValueError("r_star must be positive and finite")
+    if n_quad < 2:
+        raise ValueError("n_quad must be at least 2")
+    A = r_star + gamma
+    if not np.all(np.isfinite(R) & (R > 0.0) & (R <= A)):
+        raise ValueError("R must lie in (0, r_star + gamma]")
+    # The rows of np.linspace, built as the scalar call builds them: an
+    # array call switches every row to another rounding when one has zero
+    # width (R = A).
+    x_lo = (1.0 / A)[..., None]
+    x_hi = (1.0 / R)[..., None]
+    xs = np.arange(n_quad) * ((x_hi - x_lo) / (n_quad - 1)) + x_lo
+    xs[..., -1:] = x_hi
+    e1s = e1_scaled(np.concatenate([(1.0 / r_star).ravel(), xs.ravel()]))
+    slope = 1.0 - e1s[: R.size].reshape(R.shape)
+    integral = np.trapezoid(e1s[R.size :].reshape(xs.shape) / xs, xs, axis=-1)
     return slope * (R - A) + integral
 
 

@@ -109,7 +109,7 @@ def cmd_verify(args) -> int:
         out = _out_dir(args.out)
 
         scan_r = np.linspace(0.05, 2.3, args.scan_n)
-        scan_vals = [f0_at(float(r), float(r), gamma, n_quad) for r in scan_r]
+        scan_vals = f0_at(scan_r, scan_r, gamma, n_quad).tolist()
         scan_path = out / "f0_scan.csv"
         _write_csv(scan_path, ["r", "f0"], zip(scan_r.tolist(), scan_vals))
 

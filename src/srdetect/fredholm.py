@@ -11,17 +11,47 @@ f(z^{-1}) over z-segments bounded by x_i = 1/R_i:
                - integral_{1/A}^{x_i} f d(e^{-z} Ei(z))
 
 with C_A = e^{1/A} (ei_scaled(1/A) - A) and D_i = ei_scaled(x_i) - R_i.
-This grouping is what makes the assembly overflow-free: every
-exponential has a non-positive argument (the e^{x_i} that would blow up
-at x_i = 1/r_min ~ 500 has been folded into the tail weight function,
-which then lives in (0, 1]), and Ei only ever appears through ei_scaled.
-The upper limit z_max = 1/r_min truncates the infinite z-integral; the
-discarded tail is O(e^{-z_max}).
+The z-samples are the reciprocals of the grid nodes, so P maps node
+values of f directly to node values of P f.  The upper limit
+z_max = 1/r_min truncates the infinite z-integral; the discarded tail is
+O(e^{-z_max}).
+
+Generator form.  With i indexing the nodes in ascending R, and w, wE the
+full-range trapezoid weights against d(e^{-z}) and d(e^{-z} Ei(z)) put
+in R-order, every row i < n-1 of the trapezoid discretization reads
+
+    P_ij = a_i e^{x_i} w_j   (j < i),     a_i = C_A e^{-x_i} - D_i
+    P_ij = v_j               (j > i),     v_j = C_A w_j - wE_j
+    P_ii = C_A w_i - D_i (e^{x_i - x_{i-1}} - 1)/2
+                   - (ei_scaled(x_i) - ei_scaled(x_{i+1}))/2
+
+(the D_i term only for i >= 1), so P is (1,1)-quasiseparable.
+KernelMatrix.P stores the five length-n generators (a, diag, v, t, u)
+instead of the n x n matrix; t and u are the transfer factors below.
+
+Transfer factors.  The lower sum is carried in scaled form
+Q_i = e^{x_i} sum_{j<i} w_j f_j, which obeys
+
+    Q_0 = 0,    Q_{i+1} = t_{i+1} Q_i + u_i f_i,
+    t_i = e^{x_i - x_{i-1}},    u_i = e^{x_{i+1}} w_i = (e^{x_{i+1} - x_{i-1}} - 1)/2
+
+(u_0 = (e^{x_1 - x_0} - 1)/2).  t lies in (0, 1] and u in (-1/2, 0], so
+the raw e^{x_i}, up to e^{500} at r_min = 2e-3, never appears; every
+exponential has a non-positive argument and Ei only ever appears
+through ei_scaled.  The upper sum E_i = sum_{j>i} v_j f_j is a reversed
+cumulative sum, and (P f)_i = a_i Q_i + diag_i f_i + E_i costs O(n).
+
+Banded solve.  Taking (f_i, Q_i, E_i) side by side as unknowns, the
+system (I + lambda P) f = f0 together with the two recurrences is a
+3n x 3n banded system with 4 sub- and 3 superdiagonals, solved by LU
+with partial pivoting (LAPACK dgbsv) in O(n) time and memory.
+Eliminating Q and E recovers I + lambda P, so both systems share their
+determinant.
 
 The row for R = A is identically zero: there D_i e^{1/A} = C_A and the
 tail integral is e^{1/A} times the full one, so the three terms cancel
-exactly.  It is pinned to zero rather than computed, which also encodes
-the boundary condition f_lambda(A) = 0.
+exactly.  Its generators are pinned to zero rather than computed, which
+also encodes the boundary condition f_lambda(A) = 0.
 """
 
 from __future__ import annotations
@@ -38,6 +68,9 @@ from srdetect.specfun import e1_scaled, ei_scaled
 
 _UNSCALED_EXP_LIMIT = 50.0
 
+# Sub- and superdiagonals of the interleaved (f, Q, E) system.
+_KL, _KU = 4, 3
+
 
 class KernelAssemblyError(RuntimeError):
     """Kernel assembly produced or would produce non-finite entries."""
@@ -49,10 +82,28 @@ class SingularSystemError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Nystrom matrix of the perturbation operator on a statistic grid."""
+    """Nystrom matrix of the perturbation operator on a statistic grid.
+
+    P is the (5, n) array of generators (a, diag, v, t, u) described in
+    the module docstring, not the n x n matrix itself.
+    """
 
     P: np.ndarray
     grid: Grid
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """Matrix-vector product P f in O(n)."""
+        a, diag, v, t, u = self.P
+        n = a.size
+        if f.shape != (n,):
+            raise ValueError("f length does not match kernel size")
+        # Q_{i+1} - t_{i+1} Q_i = u_i f_i is a unit lower-bidiagonal solve.
+        band = np.vstack([np.ones(n), np.append(-t[1:], 0.0)])
+        rhs = np.concatenate([[0.0], u[:-1] * f[:-1]])
+        q, _ = scipy.linalg.lapack.dtbtrs(band, rhs[:, None], uplo="L")
+        upper = np.zeros(n)
+        upper[:-1] = np.cumsum((v * f)[:0:-1])[::-1]
+        return a * q[:, 0] + diag * f + upper
 
 
 @dataclass(frozen=True)
@@ -68,51 +119,35 @@ class LambdaSweep:
     failures: list[tuple[float, str]] = field(default_factory=list)
 
 
-def _seg_weights(b: np.ndarray) -> np.ndarray:
-    # Trapezoid weights against d(b) for a segment of >= 2 samples; the
-    # 3+ case matches quadrature.diff_weights.
-    m = b.size
-    if m == 2:
-        d = 0.5 * (b[1] - b[0])
-        return np.array([d, d])
-    w = np.empty_like(b)
-    w[0] = 0.5 * (b[1] - b[0])
-    w[1:-1] = 0.5 * (b[2:] - b[:-2])
-    w[-1] = 0.5 * (b[-1] - b[-2])
-    return w
-
-
-def _cumulative_log_integral(z: np.ndarray, h_ref: float) -> np.ndarray:
+def _cumulative_log_integral(z: np.ndarray, h_ref: float, x_star: float) -> np.ndarray:
     """Running integral of e1_scaled(x)/x from z[0] to every z[j].
 
     Each segment [z[j], z[j+1]] gets its own composite-Simpson rule with
-    enough panels to keep the sub-step near h_ref.  Accumulating over
-    shared segments (instead of re-integrating from z[0] per node) makes
-    the error vary smoothly from node to node, which the second
-    differences in ode_residual would otherwise amplify by 1/h^2.
+    enough panels to keep the sub-step near h_ref * max(1, z[j]/x_star):
+    beyond x_star the integrand decays like 1/z^2, so the step may grow
+    with z.  Accumulating over shared segments (instead of re-integrating
+    from z[0] per node) makes the error vary smoothly from node to node,
+    which the second differences in ode_residual would otherwise amplify
+    by 1/h^2.
     """
     widths = np.diff(z)
-    panels = np.maximum(1, np.ceil(widths / (2.0 * h_ref)).astype(int))
+    h = h_ref * np.maximum(1.0, z[:-1] / x_star)
+    panels = np.maximum(1, np.ceil(widths / (2.0 * h)).astype(int))
     counts = 2 * panels + 1
-    pts = np.empty(int(counts.sum()))
-    wts = np.empty_like(pts)
-    offsets = np.zeros(widths.size, dtype=int)
-    pos = 0
-    for j in range(widths.size):
-        m = int(counts[j])
-        offsets[j] = pos
-        pts[pos : pos + m] = np.linspace(z[j], z[j + 1], m)
-        w = np.full(m, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        w *= widths[j] / (m - 1) / 3.0
-        wts[pos : pos + m] = w
-        pos += m
+    offsets = np.concatenate([[0], np.cumsum(counts[:-1])])
+    seg = np.repeat(np.arange(widths.size), counts)
+    k = np.arange(seg.size) - offsets[seg]
+    step = widths / (counts - 1)
+    pts = z[seg] + k * step[seg]
+    pts[offsets + counts - 1] = z[1:]
+    wts = np.where(k % 2 == 1, 4.0, 2.0)
+    wts[offsets] = 1.0
+    wts[offsets + counts - 1] = 1.0
+    wts *= step[seg] / 3.0
     vals = e1_scaled(pts) / pts
-    seg = np.add.reduceat(vals * wts, offsets)
     out = np.empty(z.size)
     out[0] = 0.0
-    np.cumsum(seg, out=out[1:])
+    np.cumsum(np.add.reduceat(vals * wts, offsets), out=out[1:])
     return out
 
 
@@ -129,7 +164,7 @@ def assemble_f0_vector(grid: Grid, r_star: float, gamma: float, n_quad: int = 50
     x_lo = 1.0 / A
     h_ref = (1.0 / r_star - x_lo) / (n_quad - 1)
     z = 1.0 / grid.nodes[::-1]         # ascending, z[0] = 1/A
-    integral = _cumulative_log_integral(z, h_ref)
+    integral = _cumulative_log_integral(z, h_ref, 1.0 / r_star)
     slope = 1.0 - e1_scaled(1.0 / r_star)
     out = slope * (grid.nodes - A) + integral[::-1]
     k = grid.r_star_index
@@ -142,11 +177,7 @@ def assemble_f0_vector(grid: Grid, r_star: float, gamma: float, n_quad: int = 50
 
 
 def assemble_kernel(grid: Grid, r_star: float, gamma: float) -> KernelMatrix:
-    """Assemble the Nystrom matrix P of the perturbation operator.
-
-    The z-sample set is the reciprocals of the grid nodes, so P maps
-    node values of f directly to node values of P f.
-    """
+    """Assemble the generators of the Nystrom matrix P in O(n)."""
     nodes = grid.nodes
     n = nodes.size
     x = 1.0 / nodes            # x[i] = 1/R_i, descending in i
@@ -157,50 +188,83 @@ def assemble_kernel(grid: Grid, r_star: float, gamma: float) -> KernelMatrix:
             f"1/threshold = {x0:g} too large for the one unscaled exponential"
         )
     c_a = np.exp(x0) * (ei_scaled(x0) - grid.threshold)
-    eis = ei_scaled(s)
-    d_coef = (eis - 1.0 / s)[::-1]     # D_i = ei_scaled(x_i) - R_i, in R-order
+    eis_s = ei_scaled(s)
+    eis = eis_s[::-1]
+    d_coef = eis - nodes               # D_i, in R-order
+    w = diff_weights(np.exp(-s), "d(e^-z) over full z-range").w[::-1]
+    w_ei = diff_weights(eis_s, "d(e^-z Ei(z)) over full z-range").w[::-1]
 
-    w_full = diff_weights(np.exp(-s), "d(e^-z) over full z-range").w[::-1]
+    half_gap = 0.5 * np.expm1(x[1:] - x[:-1])     # (e^{x_i - x_{i-1}} - 1)/2, i >= 1
+    t = np.zeros(n)
+    t[1:] = np.exp(x[1:] - x[:-1])
+    u = np.zeros(n)
+    u[0] = half_gap[0]
+    u[1:-1] = 0.5 * np.expm1(x[2:] - x[:-2])
+    a = c_a * np.exp(-x) - d_coef
+    v = c_a * w - w_ei
+    diag = c_a * w
+    diag[1:] -= d_coef[1:] * half_gap
+    diag[:-1] -= 0.5 * (eis[:-1] - eis[1:])
+    a[-1] = 0.0
+    diag[-1] = 0.0
 
-    P = np.zeros((n, n))
-    for i in range(n - 1):
-        k = n - 1 - i                  # s[k] == x[i]
-        row = c_a * w_full.copy()
-        if i >= 1:                     # at i = 0 the tail segment is a point
-            w_tail = _seg_weights(np.exp(x[i] - s[k:]))
-            row[: i + 1] -= d_coef[i] * w_tail[::-1]
-        w_ei = _seg_weights(eis[: k + 1])
-        row[i:] -= w_ei[::-1]
-        P[i] = row
-    if not np.all(np.isfinite(P)):
-        raise KernelAssemblyError("kernel matrix has non-finite entries")
-    return KernelMatrix(P=P, grid=grid)
+    gens = np.vstack([a, diag, v, t, u])
+    if not np.all(np.isfinite(gens)):
+        raise KernelAssemblyError("kernel generators have non-finite entries")
+    return KernelMatrix(P=gens, grid=grid)
 
 
 def solve_f_lambda(kernel: KernelMatrix, f0: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (I + lambda P) f_lambda = f0 by dense LU with partial pivoting.
+    """Solve (I + lambda P) f_lambda = f0 by banded LU in O(n).
 
-    The solution is residual-checked against the assembled system; a
-    numerically singular factorization raises SingularSystemError with
-    the offending pivot magnitude.
+    The unknowns (f_i, Q_i, E_i) of the module docstring are interleaved
+    so the system has 4 sub- and 3 superdiagonals; LAPACK dgbsv factors
+    it with partial pivoting.  The solution is residual-checked against
+    P through KernelMatrix.apply; a numerically singular factorization
+    raises SingularSystemError with the offending pivot magnitude.
     """
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError("lambda must be nonnegative and finite")
-    n = kernel.P.shape[0]
+    a, diag, v, t, u = kernel.P
+    n = a.size
     if f0.shape != (n,):
         raise ValueError("f0 length does not match kernel size")
     if lam == 0.0:
         return f0.copy()
-    M = lam * kernel.P
-    M.flat[:: n + 1] += 1.0
-    lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    u_min = np.min(np.abs(np.diag(lu)))
-    if u_min < n * np.finfo(float).eps * np.max(np.abs(M)):
+
+    ab = np.zeros((2 * _KL + _KU + 1, 3 * n))
+
+    def put(rows, cols, vals):
+        ab[_KL + _KU + rows - cols, cols] = vals
+
+    i = np.arange(n)
+    fi, qi, ei = 3 * i, 3 * i + 1, 3 * i + 2
+    # f_i + lam (a_i Q_i + diag_i f_i + E_i) = f0_i
+    put(fi, fi, 1.0 + lam * diag)
+    put(fi, qi, lam * a)
+    put(fi, ei, lam)
+    # Q_0 = 0,  Q_{i+1} - t_{i+1} Q_i - u_i f_i = 0
+    put(qi, qi, 1.0)
+    put(qi[1:], qi[:-1], -t[1:])
+    put(qi[1:], fi[:-1], -u[:-1])
+    # E_{n-1} = 0,  E_i - E_{i+1} - v_{i+1} f_{i+1} = 0
+    put(ei, ei, 1.0)
+    put(ei[:-1], ei[1:], -1.0)
+    put(ei[:-1], fi[1:], -v[1:])
+    m_max = np.max(np.abs(ab))
+    rhs = np.zeros((3 * n, 1))
+    rhs[fi, 0] = f0
+
+    lub, _, x, info = scipy.linalg.lapack.dgbsv(_KL, _KU, ab, rhs)
+    if info < 0:
+        raise ValueError(f"dgbsv rejected argument {-info}")
+    u_min = np.min(np.abs(lub[_KL + _KU]))
+    if info > 0 or u_min < n * np.finfo(float).eps * m_max:
         raise SingularSystemError(
             f"lambda = {lam:g}: factorization pivot {u_min:.3e} is at rounding level"
         )
-    f = scipy.linalg.lu_solve((lu, piv), f0, check_finite=False)
-    resid = np.max(np.abs(M @ f - f0))
+    f = x[fi, 0]
+    resid = np.max(np.abs(f + lam * kernel.apply(f) - f0))
     scale = max(np.max(np.abs(f0)), 1.0)
     if not np.isfinite(resid) or resid > 1e-8 * scale:
         raise SingularSystemError(

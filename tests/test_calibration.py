@@ -88,6 +88,31 @@ def test_f0_at_threshold_is_zero():
     assert f0_at(6.0707, 1.0707, 5.0) == 0.0
 
 
+@pytest.mark.parametrize("gamma,n_quad", [(5.0, 501), (20.0, 1001)])
+def test_f0_at_array_equals_scalar_calls(gamma, n_quad):
+    # the verify scan (R = r_star) and a fixed head start over (0, A],
+    # whose last entry R = A has a zero-width quadrature range
+    scan = np.linspace(0.05, 2.3, 100)
+    got = f0_at(scan, scan, gamma, n_quad)
+    assert got.shape == scan.shape
+    assert np.array_equal(got, [f0_at(float(r), float(r), gamma, n_quad) for r in scan])
+    R = np.linspace(0.01, 1.0 + gamma, 57).reshape(3, 19)
+    got = f0_at(R, np.ones_like(R), gamma, n_quad)
+    want = [[f0_at(float(x), 1.0, gamma, n_quad) for x in row] for row in R]
+    assert np.array_equal(got, want)
+    assert got[-1, -1] == 0.0
+
+
+def test_f0_at_array_domain_checks():
+    r = np.array([0.5, 1.0])
+    with pytest.raises(ValueError):
+        f0_at(r, r[:1], 5.0)
+    with pytest.raises(ValueError):
+        f0_at(np.array([0.5, 7.0]), r, 5.0)  # above threshold
+    with pytest.raises(ValueError):
+        f0_at(r, np.array([1.0, 0.0]), 5.0)
+
+
 def test_f0_sign_structure():
     # f0(r; r) is negative for small head starts and positive past the root
     assert f0_at(0.05, 0.05, 5.0) < 0.0
