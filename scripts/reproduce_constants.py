@@ -3,7 +3,7 @@
 Prints r* for a ladder of false-alarm levels, the two headline values at
 gamma = 5 and gamma = 20, and the limiting root of e^(1/r) E1(1/r) = 1.
 
-Usage: python scripts/reproduce_constants.py [--n-quad 501]
+Usage: python scripts/reproduce_constants.py
 """
 
 import argparse
@@ -12,14 +12,11 @@ from srdetect.calibration import asymptotic_r_star, calibrate
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n-quad", type=int, default=501)
-    args = ap.parse_args()
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
 
     print(f"{'gamma':>8s} {'r*':>10s} {'|f0(r*)|':>10s} {'steps':>6s}")
     for gamma in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 1000.0):
-        n_quad = max(args.n_quad, int(50 * gamma) | 1)  # keep z-resolution at large gamma
-        res = calibrate(gamma, n_quad=n_quad)
+        res = calibrate(gamma)
         print(f"{gamma:8g} {res.r_star:10.6f} {abs(res.residual):10.2e} {res.iterations:6d}")
 
     root = asymptotic_r_star()

@@ -45,18 +45,17 @@ def main():
     ap.add_argument("--r-min", type=float, default=2e-3)
     ap.add_argument("--lambda-count", type=int, default=100)
     ap.add_argument("--lambda-max", type=float, default=10.0)
-    ap.add_argument("--n-quad", type=int, default=501)
     ap.add_argument("--out", type=str, default=None)
     ap.add_argument("--skip-refinement", action="store_true")
     args = ap.parse_args()
 
     t0 = time.time()
-    res = calibrate(args.gamma, n_quad=args.n_quad)
+    res = calibrate(args.gamma)
     print(f"gamma={args.gamma:g}: r* = {res.r_star:.6f} (|f0| = {abs(res.residual):.2e})")
 
     grid = make_grid(args.r_min, res.r_star, args.gamma, args.grid_n)
     lams = np.linspace(0.0, args.lambda_max, args.lambda_count + 1)[1:]
-    sweep = sweep_lambda(grid, res.r_star, args.gamma, lams, n_quad=args.n_quad)
+    sweep = sweep_lambda(grid, res.r_star, args.gamma, lams)
 
     pos = sweep.lambdas > 0.0
     vals = sweep.values[pos]

@@ -9,7 +9,10 @@ The right head start zeroes the function
 at R = r*, which balances the detection delay across change points.  The
 Stieltjes integral is evaluated in scaled form, d(Ei(x)) = e^x/x dx, so the
 integrand is e1_scaled(x)/x: both factors stay O(1) across the whole range
-even though E1 and Ei separately under/overflow there.
+even though E1 and Ei separately under/overflow there.  One rule computes
+it everywhere, here and for the f0 vector in fredholm: Gauss-Legendre on
+panels in u = ln x (_log_integrals), where it is accurate to rounding
+level at a cost that grows only with ln(A/R).
 
 calibrate() solves f0(r*) = 0 (with r* also moving A) by bisection; the
 bracket [0.05, 2.3] covers every gamma because r* increases from ~0 toward
@@ -24,6 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from srdetect.specfun import e1_scaled
+
+# 8-point Gauss-Legendre rule on [-1, 1], applied to every u-panel.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -46,65 +52,55 @@ class BracketError(ValueError):
         )
 
 
-def f0_at(R, r_star, gamma: float, n_quad: int = 501):
+def _log_integrals(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integral of e1_scaled(x)/x dx over each [lo_k, hi_k], 0 < lo_k <= hi_k.
+
+    In u = ln x the integral is that of e1_scaled(e^u) du, whose integrand
+    is O(1) and analytic in the strip |Im u| < pi.  Each range is split
+    into equal u-panels of width at most 1, and each panel is summed by
+    8-point Gauss-Legendre, which leaves an error at rounding level.
+    Every range is summed the same way whatever else is in the array, so
+    each entry equals the call on that range alone, bit for bit.
+    """
+    u_lo = np.log(lo)
+    width = np.log(hi) - u_lo
+    panels = np.maximum(1, np.ceil(width)).astype(int)
+    first = np.cumsum(panels) - panels
+    k = np.repeat(np.arange(lo.size), panels)
+    half = 0.5 * width[k] / panels[k]
+    mid = u_lo[k] + (2 * (np.arange(k.size) - first[k]) + 1) * half
+    u = mid[:, None] + half[:, None] * _GL_NODES
+    sums = (e1_scaled(np.exp(u)) * _GL_WEIGHTS).sum(axis=1) * half
+    return np.add.reduceat(sums, first)
+
+
+def f0_at(R, r_star, gamma: float):
     """Evaluate f0 at statistic value R for head start r_star.
 
-    The integral term uses the ordinary trapezoid rule on n_quad uniform
-    points in x between 1/A and 1/R.  Requires 0 < R <= A.  R and r_star
-    may also be equal-shape arrays: every pair is then evaluated in one
-    e1_scaled call, and each entry equals the scalar call on that pair.
+    Requires 0 < R <= A.  R and r_star may be scalars, giving a float, or
+    equal-shape arrays, giving an array whose every entry equals the
+    scalar call on that pair; the integral term is _log_integrals over
+    [1/A, 1/R].
     """
-    if np.ndim(R) or np.ndim(r_star):
-        return _f0_at_array(np.asarray(R, dtype=float), np.asarray(r_star, dtype=float),
-                            gamma, n_quad)
-    if not (np.isfinite(gamma) and gamma > 0.0):
-        raise ValueError("gamma must be positive and finite")
-    if not (np.isfinite(r_star) and r_star > 0.0):
-        raise ValueError("r_star must be positive and finite")
-    if n_quad < 2:
-        raise ValueError("n_quad must be at least 2")
-    A = r_star + gamma
-    if not (np.isfinite(R) and 0.0 < R <= A):
-        raise ValueError("R must lie in (0, r_star + gamma]")
-    slope = 1.0 - e1_scaled(1.0 / r_star)
-    x_lo = 1.0 / A
-    x_hi = 1.0 / R
-    if x_hi == x_lo:
-        integral = 0.0
-    else:
-        xs = np.linspace(x_lo, x_hi, n_quad)
-        integral = float(np.trapezoid(e1_scaled(xs) / xs, xs))
-    return slope * (R - A) + integral
-
-
-def _f0_at_array(R: np.ndarray, r_star: np.ndarray, gamma: float, n_quad: int) -> np.ndarray:
-    if R.shape != r_star.shape:
+    R_arr = np.asarray(R, dtype=float)
+    r_arr = np.asarray(r_star, dtype=float)
+    if R_arr.shape != r_arr.shape:
         raise ValueError("R and r_star must have the same shape")
     if not (np.isfinite(gamma) and gamma > 0.0):
         raise ValueError("gamma must be positive and finite")
-    if not np.all(np.isfinite(r_star) & (r_star > 0.0)):
+    if not np.all(np.isfinite(r_arr) & (r_arr > 0.0)):
         raise ValueError("r_star must be positive and finite")
-    if n_quad < 2:
-        raise ValueError("n_quad must be at least 2")
-    A = r_star + gamma
-    if not np.all(np.isfinite(R) & (R > 0.0) & (R <= A)):
+    A = r_arr + gamma
+    if not np.all(np.isfinite(R_arr) & (R_arr > 0.0) & (R_arr <= A)):
         raise ValueError("R must lie in (0, r_star + gamma]")
-    # The rows of np.linspace, built as the scalar call builds them: an
-    # array call switches every row to another rounding when one has zero
-    # width (R = A).
-    x_lo = (1.0 / A)[..., None]
-    x_hi = (1.0 / R)[..., None]
-    xs = np.arange(n_quad) * ((x_hi - x_lo) / (n_quad - 1)) + x_lo
-    xs[..., -1:] = x_hi
-    e1s = e1_scaled(np.concatenate([(1.0 / r_star).ravel(), xs.ravel()]))
-    slope = 1.0 - e1s[: R.size].reshape(R.shape)
-    integral = np.trapezoid(e1s[R.size :].reshape(xs.shape) / xs, xs, axis=-1)
-    return slope * (R - A) + integral
+    slope = 1.0 - e1_scaled(1.0 / r_arr)
+    integral = _log_integrals((1.0 / A).ravel(), (1.0 / R_arr).ravel()).reshape(R_arr.shape)
+    out = slope * (R_arr - A) + integral
+    return float(out) if out.ndim == 0 else out
 
 
 def calibrate(
     gamma: float,
-    n_quad: int = 501,
     tol: float = 1e-6,
     bracket: tuple[float, float] = (0.05, 2.3),
     max_iter: int = 200,
@@ -122,7 +118,7 @@ def calibrate(
         raise ValueError("bracket must satisfy 0 < a < b")
 
     def phi(r: float) -> float:
-        return f0_at(r, r, gamma, n_quad)
+        return f0_at(r, r, gamma)
 
     fa = phi(a)
     fb = phi(b)

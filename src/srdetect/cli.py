@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from srdetect.calibration import BracketError, calibrate
+from srdetect.calibration import BracketError, calibrate, f0_at
 from srdetect.fredholm import sweep_lambda
 from srdetect.quadrature import make_grid
 from srdetect.simulator import (
@@ -38,11 +38,10 @@ from srdetect.simulator import (
     detect_stream,
 )
 from srdetect.specfun import g
-from srdetect.calibration import f0_at
 
 _PRESETS = {
-    "gamma5": dict(gamma=5.0, grid_n=2001, lambda_count=100, n_quad=501),
-    "gamma20": dict(gamma=20.0, grid_n=4001, lambda_count=200, n_quad=1001),
+    "gamma5": dict(gamma=5.0, grid_n=2001, lambda_count=100),
+    "gamma20": dict(gamma=20.0, grid_n=4001, lambda_count=200),
 }
 
 _CHECK_NAMES = ("stoptime", "martingale", "flambda", "equalizer")
@@ -70,7 +69,7 @@ def _fail(msg: str, code: int) -> int:
 
 def cmd_calibrate(args) -> int:
     try:
-        res = calibrate(args.gamma, n_quad=args.n_quad, tol=args.tol)
+        res = calibrate(args.gamma, tol=args.tol)
     except (ValueError, BracketError) as exc:
         return _fail(str(exc), 2)
     out = Path(args.out) if args.out else _out_dir(None) / "calibration.csv"
@@ -93,7 +92,6 @@ def cmd_verify(args) -> int:
     lambda_count = (
         args.lambda_count if args.lambda_count is not None else opts.get("lambda_count", 100)
     )
-    n_quad = args.n_quad if args.n_quad is not None else opts.get("n_quad", 501)
     if lambda_count < 1:
         return _fail("--lambda-count must be at least 1", 2)
     if args.lambda_max <= 0.0:
@@ -102,20 +100,20 @@ def cmd_verify(args) -> int:
     try:
         if args.r_star is not None:
             r_star = args.r_star
-            residual = f0_at(r_star, r_star, gamma, n_quad)
+            residual = f0_at(r_star, r_star, gamma)
         else:
-            res = calibrate(gamma, n_quad=n_quad, tol=args.tol)
+            res = calibrate(gamma, tol=args.tol)
             r_star, residual = res.r_star, res.residual
         out = _out_dir(args.out)
 
         scan_r = np.linspace(0.05, 2.3, args.scan_n)
-        scan_vals = f0_at(scan_r, scan_r, gamma, n_quad).tolist()
+        scan_vals = f0_at(scan_r, scan_r, gamma).tolist()
         scan_path = out / "f0_scan.csv"
         _write_csv(scan_path, ["r", "f0"], zip(scan_r.tolist(), scan_vals))
 
         grid = make_grid(args.r_min, r_star, gamma, grid_n)
         lams = np.linspace(0.0, args.lambda_max, lambda_count + 1)[1:]
-        sweep = sweep_lambda(grid, r_star, gamma, lams, n_quad=n_quad)
+        sweep = sweep_lambda(grid, r_star, gamma, lams)
     except (ValueError, BracketError) as exc:
         return _fail(str(exc), 2)
 
@@ -293,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="solve for the head start r*")
     p.add_argument("--gamma", type=float, required=True, help="mean time between false alarms")
-    p.add_argument("--n-quad", type=int, default=501)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", type=str, default=None, help="output CSV path")
     p.set_defaults(func=cmd_calibrate)
@@ -307,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=float, default=2e-3)
     p.add_argument("--lambda-count", type=int, default=None)
     p.add_argument("--lambda-max", type=float, default=10.0)
-    p.add_argument("--n-quad", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--scan-n", type=int, default=100)
     p.add_argument("--out", type=str, default=None, help="output directory")

@@ -48,6 +48,10 @@ with partial pivoting (LAPACK dgbsv) in O(n) time and memory.
 Eliminating Q and E recovers I + lambda P, so both systems share their
 determinant.
 
+The right-hand side f0 is sampled node by node with calibration.f0_at,
+the quadrature that calibrates r*, so f0 at the r* node is the
+calibration residual.
+
 The row for R = A is identically zero: there D_i e^{1/A} = C_A and the
 tail integral is e^{1/A} times the full one, so the three terms cancel
 exactly.  Its generators are pinned to zero rather than computed, which
@@ -119,61 +123,14 @@ class LambdaSweep:
     failures: list[tuple[float, str]] = field(default_factory=list)
 
 
-def _cumulative_log_integral(z: np.ndarray, h_ref: float, x_star: float) -> np.ndarray:
-    """Running integral of e1_scaled(x)/x from z[0] to every z[j].
-
-    Each segment [z[j], z[j+1]] gets its own composite-Simpson rule with
-    enough panels to keep the sub-step near h_ref * max(1, z[j]/x_star):
-    beyond x_star the integrand decays like 1/z^2, so the step may grow
-    with z.  Accumulating over shared segments (instead of re-integrating
-    from z[0] per node) makes the error vary smoothly from node to node,
-    which the second differences in ode_residual would otherwise amplify
-    by 1/h^2.
-    """
-    widths = np.diff(z)
-    h = h_ref * np.maximum(1.0, z[:-1] / x_star)
-    panels = np.maximum(1, np.ceil(widths / (2.0 * h)).astype(int))
-    counts = 2 * panels + 1
-    offsets = np.concatenate([[0], np.cumsum(counts[:-1])])
-    seg = np.repeat(np.arange(widths.size), counts)
-    k = np.arange(seg.size) - offsets[seg]
-    step = widths / (counts - 1)
-    pts = z[seg] + k * step[seg]
-    pts[offsets + counts - 1] = z[1:]
-    wts = np.where(k % 2 == 1, 4.0, 2.0)
-    wts[offsets] = 1.0
-    wts[offsets + counts - 1] = 1.0
-    wts *= step[seg] / 3.0
-    vals = e1_scaled(pts) / pts
-    out = np.empty(z.size)
-    out[0] = 0.0
-    np.cumsum(np.add.reduceat(vals * wts, offsets), out=out[1:])
-    return out
-
-
-def assemble_f0_vector(grid: Grid, r_star: float, gamma: float, n_quad: int = 501) -> np.ndarray:
+def assemble_f0_vector(grid: Grid, r_star: float, gamma: float) -> np.ndarray:
     """Sample f0 on the grid nodes.
 
-    n_quad fixes the reference x-resolution on [1/A, 1/r*]; the integral
-    term is accumulated once over the reciprocal-node segments rather
-    than recomputed per node, so consecutive entries share all but one
-    segment of quadrature error.  A snapped r* node reproduces
-    calibration.f0_at(r*) bit for bit; the threshold entry is exactly 0.
+    Each node is calibration.f0_at on its own range, by the same rule
+    that calibrate() bisects on, so the snapped r* node holds exactly
+    calibrate()'s residual and the threshold node holds 0.
     """
-    A = grid.threshold
-    x_lo = 1.0 / A
-    h_ref = (1.0 / r_star - x_lo) / (n_quad - 1)
-    z = 1.0 / grid.nodes[::-1]         # ascending, z[0] = 1/A
-    integral = _cumulative_log_integral(z, h_ref, 1.0 / r_star)
-    slope = 1.0 - e1_scaled(1.0 / r_star)
-    out = slope * (grid.nodes - A) + integral[::-1]
-    k = grid.r_star_index
-    if grid.nodes[k] == r_star:
-        # Pin the calibration point to the same quadrature that produced
-        # r*, so the residual reported there matches calibrate() exactly.
-        out[k] = f0_at(r_star, r_star, gamma, n_quad)
-    out[-1] = 0.0
-    return out
+    return f0_at(grid.nodes, np.full(grid.n, r_star), gamma)
 
 
 def assemble_kernel(grid: Grid, r_star: float, gamma: float) -> KernelMatrix:
@@ -273,13 +230,7 @@ def solve_f_lambda(kernel: KernelMatrix, f0: np.ndarray, lam: float) -> np.ndarr
     return f
 
 
-def sweep_lambda(
-    grid: Grid,
-    r_star: float,
-    gamma: float,
-    lambdas,
-    n_quad: int = 501,
-) -> LambdaSweep:
+def sweep_lambda(grid: Grid, r_star: float, gamma: float, lambdas) -> LambdaSweep:
     """Evaluate f_lambda(r*) across a lambda grid on one shared kernel.
 
     A lambda = 0 entry (value f0(r*), the calibration residual) is
@@ -297,7 +248,7 @@ def sweep_lambda(
         lams = np.concatenate([[0.0], lams])
 
     kernel = assemble_kernel(grid, r_star, gamma)
-    f0 = assemble_f0_vector(grid, r_star, gamma, n_quad)
+    f0 = assemble_f0_vector(grid, r_star, gamma)
     idx = grid.r_star_index
     values = np.empty_like(lams)
     failures: list[tuple[float, str]] = []

@@ -49,14 +49,14 @@ def report(num: int, label: str, ok: bool, detail: str):
 @pytest.fixture(scope="module")
 def cal5():
     t0 = time.perf_counter()
-    res = calibrate(5.0, n_quad=501)
+    res = calibrate(5.0)
     return res, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def cal20():
     t0 = time.perf_counter()
-    res = calibrate(20.0, n_quad=1001)
+    res = calibrate(20.0)
     return res, time.perf_counter() - t0
 
 
@@ -66,7 +66,7 @@ def sweep5(cal5):
     grid = make_grid(2e-3, res.r_star, 5.0, 2001)
     lams = np.linspace(0.0, 10.0, 101)[1:]
     t0 = time.perf_counter()
-    sweep = sweep_lambda(grid, res.r_star, 5.0, lams, n_quad=501)
+    sweep = sweep_lambda(grid, res.r_star, 5.0, lams)
     return sweep, time.perf_counter() - t0
 
 
@@ -76,7 +76,7 @@ def sweep20(cal20):
     grid = make_grid(2e-3, res.r_star, 20.0, 4001)
     lams = np.linspace(0.0, 10.0, 201)[1:]
     t0 = time.perf_counter()
-    sweep = sweep_lambda(grid, res.r_star, 20.0, lams, n_quad=1001)
+    sweep = sweep_lambda(grid, res.r_star, 20.0, lams)
     return sweep, time.perf_counter() - t0
 
 

@@ -14,7 +14,7 @@ from srdetect.specfun import e1_scaled
 
 
 def test_gamma_five_reproduces_published_root():
-    res = calibrate(5.0, n_quad=501)
+    res = calibrate(5.0)
     assert isinstance(res, CalibrationResult)
     assert res.r_star == pytest.approx(1.0707, abs=5e-4)
     assert abs(res.residual) <= 1e-6
@@ -22,7 +22,7 @@ def test_gamma_five_reproduces_published_root():
 
 
 def test_gamma_twenty_reproduces_published_root():
-    res = calibrate(20.0, n_quad=1001)
+    res = calibrate(20.0)
     assert res.r_star == pytest.approx(1.5240, abs=5e-4)
     assert abs(res.residual) <= 1e-6
 
@@ -36,13 +36,18 @@ def test_asymptotic_root():
 
 def test_residual_is_f0_at_root():
     res = calibrate(5.0)
-    assert f0_at(res.r_star, res.r_star, 5.0, 501) == res.residual
+    assert f0_at(res.r_star, res.r_star, 5.0) == res.residual
 
 
-def test_root_stable_under_quadrature_refinement():
-    coarse = calibrate(5.0, n_quad=501).r_star
-    fine = calibrate(5.0, n_quad=4001).r_star
-    assert abs(coarse - fine) <= 2e-3
+# Roots of f0(r; r, gamma) = 0 computed with mpmath at 30 digits: the
+# integral of e^x E1(x) over u = ln x by mpmath.quad, the root by
+# mpmath.findroot.
+MPMATH_ROOTS = {5.0: 1.07068274091, 20.0: 1.52398652430, 1000.0: 2.21482253794}
+
+
+@pytest.mark.parametrize("gamma", sorted(MPMATH_ROOTS))
+def test_root_matches_mpmath_oracle(gamma):
+    assert abs(calibrate(gamma).r_star - MPMATH_ROOTS[gamma]) <= 1e-6
 
 
 @pytest.mark.parametrize("gamma", [1.0, 5.0, 8.0, 20.0, 50.0])
@@ -61,7 +66,7 @@ def test_large_gamma_approaches_asymptotic_root():
     asym = asymptotic_r_star()
     gaps = []
     for gamma in (100.0, 1e3, 1e4, 1e5):
-        root = calibrate(gamma, n_quad=20001).r_star
+        root = calibrate(gamma).r_star
         gaps.append(abs(root - asym))
     assert np.all(np.diff(gaps) < 0.0)
     assert gaps[-1] <= 5e-3
@@ -88,17 +93,17 @@ def test_f0_at_threshold_is_zero():
     assert f0_at(6.0707, 1.0707, 5.0) == 0.0
 
 
-@pytest.mark.parametrize("gamma,n_quad", [(5.0, 501), (20.0, 1001)])
-def test_f0_at_array_equals_scalar_calls(gamma, n_quad):
+@pytest.mark.parametrize("gamma", [5.0, 20.0])
+def test_f0_at_array_equals_scalar_calls(gamma):
     # the verify scan (R = r_star) and a fixed head start over (0, A],
     # whose last entry R = A has a zero-width quadrature range
     scan = np.linspace(0.05, 2.3, 100)
-    got = f0_at(scan, scan, gamma, n_quad)
+    got = f0_at(scan, scan, gamma)
     assert got.shape == scan.shape
-    assert np.array_equal(got, [f0_at(float(r), float(r), gamma, n_quad) for r in scan])
+    assert np.array_equal(got, [f0_at(float(r), float(r), gamma) for r in scan])
     R = np.linspace(0.01, 1.0 + gamma, 57).reshape(3, 19)
-    got = f0_at(R, np.ones_like(R), gamma, n_quad)
-    want = [[f0_at(float(x), 1.0, gamma, n_quad) for x in row] for row in R]
+    got = f0_at(R, np.ones_like(R), gamma)
+    want = [[f0_at(float(x), 1.0, gamma) for x in row] for row in R]
     assert np.array_equal(got, want)
     assert got[-1, -1] == 0.0
 

@@ -34,7 +34,7 @@ def skeleton_rows(n, dt=1e-3):
 
 def test_calibrate_writes_csv(tmp_path, capsys):
     out = tmp_path / "cal.csv"
-    rc = main(["calibrate", "--gamma", "2", "--n-quad", "301", "--out", str(out)])
+    rc = main(["calibrate", "--gamma", "2", "--out", str(out)])
     assert rc == 0
     header, rows = read_csv(out)
     assert header == ["gamma", "r_star", "residual", "iterations"]
@@ -51,7 +51,7 @@ def test_calibrate_rejects_bad_gamma(capsys):
 def test_verify_small_domain(tmp_path, capsys):
     rc = main([
         "verify", "--gamma", "2", "--grid-n", "301", "--lambda-count", "5",
-        "--n-quad", "301", "--scan-n", "10", "--r-min", "5e-3", "--out", str(tmp_path),
+        "--scan-n", "10", "--r-min", "5e-3", "--out", str(tmp_path),
     ])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
@@ -62,7 +62,7 @@ def test_verify_small_domain(tmp_path, capsys):
     lam0, val0 = float(rows[0][0]), float(rows[0][1])
     assert lam0 == 0.0
     # the lambda = 0 entry reproduces the calibration residual
-    assert abs(val0 - calibrate(2.0, n_quad=301).residual) <= 1e-6
+    assert abs(val0 - calibrate(2.0).residual) <= 1e-6
     assert all(float(r[1]) < 0.0 for r in rows[1:])
 
     header, rows = read_csv(tmp_path / "f0_scan.csv")
@@ -73,12 +73,12 @@ def test_verify_small_domain(tmp_path, capsys):
 def test_verify_accepts_explicit_r_star(tmp_path):
     rc = main([
         "verify", "--gamma", "2", "--r-star", "0.7868", "--grid-n", "301",
-        "--lambda-count", "5", "--n-quad", "301", "--scan-n", "5",
+        "--lambda-count", "5", "--scan-n", "5",
         "--r-min", "5e-3", "--out", str(tmp_path),
     ])
     assert rc == 0
     _, rows = read_csv(tmp_path / "lambda_sweep.csv")
-    assert float(rows[0][1]) == pytest.approx(f0_at(0.7868, 0.7868, 2.0, 301), abs=1e-12)
+    assert float(rows[0][1]) == pytest.approx(f0_at(0.7868, 0.7868, 2.0), abs=1e-12)
 
 
 def test_verify_argument_errors(tmp_path, capsys):
@@ -122,7 +122,7 @@ def test_simulate_argument_errors(tmp_path, capsys):
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("SRDETECT_OUT", str(tmp_path / "results"))
-    rc = main(["calibrate", "--gamma", "2", "--n-quad", "301"])
+    rc = main(["calibrate", "--gamma", "2"])
     assert rc == 0
     assert (tmp_path / "results" / "calibration.csv").exists()
 
@@ -200,7 +200,7 @@ def test_detect_rejects_stalled_timestamps(tmp_path, capsys):
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "srdetect.cli", "calibrate", "--gamma", "2",
-         "--n-quad", "301", "--out", str(tmp_path / "cal.csv")],
+         "--out", str(tmp_path / "cal.csv")],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
