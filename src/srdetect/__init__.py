@@ -19,16 +19,14 @@ from srdetect.fredholm import (
     SingularSystemError,
     assemble_f0_vector,
     assemble_kernel,
-    ode_residual,
     solve_f_lambda,
     sweep_lambda,
 )
-from srdetect.quadrature import DiffWeights, Grid, diff_weights, integrate, make_grid
+from srdetect.quadrature import Grid, make_grid
 from srdetect.simulator import (
     HorizonCapError,
     MartingaleCheck,
     McEstimate,
-    PathOutcome,
     SimBatch,
     SimConfig,
     detect_stream,
@@ -36,35 +34,21 @@ from srdetect.simulator import (
     mc_f_lambda,
     mc_martingale_check,
     mc_mean_stop_time,
-    run_path,
     simulate_paths,
-    step_statistic,
 )
-from srdetect.specfun import (
-    EULER_GAMMA,
-    ScaledExpIntegrals,
-    e1,
-    e1_scaled,
-    ei_scaled,
-    g,
-    scaled_pair,
-)
+from srdetect.specfun import e1_scaled, ei_scaled, g
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BracketError",
     "CalibrationResult",
-    "DiffWeights",
-    "EULER_GAMMA",
     "Grid",
     "HorizonCapError",
     "KernelMatrix",
     "LambdaSweep",
     "MartingaleCheck",
     "McEstimate",
-    "PathOutcome",
-    "ScaledExpIntegrals",
     "SimBatch",
     "SimConfig",
     "SingularSystemError",
@@ -73,24 +57,17 @@ __all__ = [
     "assemble_kernel",
     "calibrate",
     "detect_stream",
-    "diff_weights",
-    "e1",
     "e1_scaled",
     "ei_scaled",
     "f0_at",
     "g",
-    "integrate",
     "make_grid",
     "mc_delay_ratio",
     "mc_f_lambda",
     "mc_martingale_check",
     "mc_mean_stop_time",
-    "ode_residual",
-    "run_path",
-    "scaled_pair",
     "simulate_paths",
     "solve_f_lambda",
-    "step_statistic",
     "sweep_lambda",
     "__version__",
 ]

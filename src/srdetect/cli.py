@@ -10,15 +10,20 @@ detect      run the detector over a CSV of observation increments
 
 Exit codes: 0 success, 2 bad arguments or calibration failure, 3 sign
 violation in verify, 4 failed statistical check in simulate, 5 missing
-or malformed detect input.  Output files are CSV; they land in the
-location named by --out or, by default, under $SRDETECT_OUT or the
-working directory.
+or malformed detect input.  detect resolves the head start before it
+opens its input, so a bad --gamma or --r-star exits 2; it then reads one
+row at a time and stops at the alarm, so only rows up to the alarm can
+exit 5.  Output files are CSV; they land in the location named by --out
+or, by default, under $SRDETECT_OUT or the working directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
+import math
 import os
 import sys
 from pathlib import Path
@@ -215,70 +220,78 @@ def cmd_simulate(args) -> int:
     return 0 if all_ok else 4
 
 
-def _read_increments(path: Path) -> list[tuple[float, float]]:
+def _read_increments(path: Path):
+    """Yield (dt, dxi) records from a CSV file, one row at a time.
+
+    A first row naming dxi is a header that picks the dt column, or a t
+    column of strictly increasing time stamps; without one the columns
+    are (dt, dxi).  Blank rows are skipped, and errors name the physical
+    line of the file.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if not rows:
-        return []
-    header = [c.strip().lower() for c in rows[0]]
-    records: list[tuple[float, float]]
-    if "dxi" in header:
-        if "dt" in header:
-            i_t, cumulative = header.index("dt"), False
-        elif "t" in header:
-            i_t, cumulative = header.index("t"), True
+        reader = csv.reader(fh)
+        rows = ((reader.line_num, r) for r in reader if any(cell.strip() for cell in r))
+        first = next(rows, None)
+        if first is None:
+            return
+        header = [c.strip().lower() for c in first[1]]
+        if "dxi" in header:
+            if "dt" in header:
+                i_t, cumulative = header.index("dt"), False
+            elif "t" in header:
+                i_t, cumulative = header.index("t"), True
+            else:
+                raise ValueError("header must name a dt or t column next to dxi")
+            i_x = header.index("dxi")
         else:
-            raise ValueError("header must name a dt or t column next to dxi")
-        i_x = header.index("dxi")
-        body = rows[1:]
-    else:
-        i_t, i_x, cumulative = 0, 1, False
-        body = rows
-    records = []
-    prev_t = 0.0
-    for lineno, row in enumerate(body, start=2 if body is not rows else 1):
-        if len(row) <= max(i_t, i_x):
-            raise ValueError(f"line {lineno}: expected at least {max(i_t, i_x) + 1} columns")
-        try:
-            tval = float(row[i_t])
-            xval = float(row[i_x])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-numeric value") from exc
-        if cumulative:
-            dt = tval - prev_t
-            if dt <= 0.0:
-                raise ValueError(f"line {lineno}: time stamps must be strictly increasing")
-            prev_t = tval
-        else:
-            dt = tval
-        records.append((dt, xval))
-    return records
+            i_t, i_x, cumulative = 0, 1, False
+            rows = itertools.chain([first], rows)
+        prev_t = 0.0
+        for lineno, row in rows:
+            if len(row) <= max(i_t, i_x):
+                raise ValueError(f"line {lineno}: expected at least {max(i_t, i_x) + 1} columns")
+            try:
+                tval = float(row[i_t])
+                xval = float(row[i_x])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: non-numeric value") from exc
+            if cumulative:
+                dt = tval - prev_t
+                if dt <= 0.0:
+                    raise ValueError(f"line {lineno}: time stamps must be strictly increasing")
+                prev_t = tval
+            else:
+                dt = tval
+            yield dt, xval
 
 
 def cmd_detect(args) -> int:
+    try:
+        if not (math.isfinite(args.gamma) and args.gamma > 0.0):
+            raise ValueError("gamma must be positive and finite")
+        r_star = args.r_star if args.r_star is not None else calibrate(args.gamma).r_star
+        if not (math.isfinite(r_star) and r_star > 0.0):
+            raise ValueError("r_star must be positive and finite")
+    except (ValueError, BracketError) as exc:
+        return _fail(str(exc), 2)
     path = Path(args.input)
     if not path.exists():
         return _fail(f"input file {path} does not exist", 5)
     try:
-        records = _read_increments(path)
-        if args.r_star is not None:
-            r_star = args.r_star
-        else:
-            r_star = calibrate(args.gamma).r_star
-        outcome = detect_stream(records, r_star, args.gamma)
-    except (ValueError, BracketError) as exc:
+        with contextlib.closing(_read_increments(path)) as records:
+            stopped, t, R = detect_stream(records, r_star, args.gamma)
+    except (OSError, csv.Error, ValueError) as exc:
         return _fail(str(exc), 5)
     out = Path(args.out) if args.out else _out_dir(None) / "detection.csv"
     _write_csv(
         out,
         ["stopped", "alarm_time", "r_final", "threshold"],
-        [[int(outcome.stopped), outcome.stop_time, outcome.r_at_stop, r_star + args.gamma]],
+        [[int(stopped), t, R, r_star + args.gamma]],
     )
-    if outcome.stopped:
-        print(f"alarm at t={outcome.stop_time:.6g} (R={outcome.r_at_stop:.6g}) -> {out}")
+    if stopped:
+        print(f"alarm at t={t:.6g} (R={R:.6g}) -> {out}")
     else:
-        print(f"no alarm in {len(records)} records (final R={outcome.r_at_stop:.6g}) -> {out}")
+        print(f"no alarm by t={t:.6g} (final R={R:.6g}) -> {out}")
     return 0
 
 

@@ -148,8 +148,9 @@ def assemble_kernel(grid: Grid, r_star: float, gamma: float) -> KernelMatrix:
     eis_s = ei_scaled(s)
     eis = eis_s[::-1]
     d_coef = eis - nodes               # D_i, in R-order
-    w = diff_weights(np.exp(-s), "d(e^-z) over full z-range").w[::-1]
-    w_ei = diff_weights(eis_s, "d(e^-z Ei(z)) over full z-range").w[::-1]
+    # trapezoid weights against d(e^-z) and d(e^-z Ei(z)) over the full z-range
+    w = diff_weights(np.exp(-s))[::-1]
+    w_ei = diff_weights(eis_s)[::-1]
 
     half_gap = 0.5 * np.expm1(x[1:] - x[:-1])     # (e^{x_i - x_{i-1}} - 1)/2, i >= 1
     t = np.zeros(n)

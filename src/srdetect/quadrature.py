@@ -4,7 +4,8 @@ The Fredholm discretization integrates functions against differentials
 d(b(z)) of monotone weight functions rather than dz, so the trapezoid rule
 is expressed through first differences of the sampled weight function b.
 The resulting weights telescope: their sum is exactly b[-1] - b[0], which
-makes integrate() exact for constant integrands by construction.
+makes the weighted sum values @ w exact for constant integrands by
+construction.
 """
 
 from __future__ import annotations
@@ -59,15 +60,7 @@ def make_grid(r_min: float, r_star: float, gamma: float, n: int) -> Grid:
     return Grid(nodes=nodes, r_star_index=idx, threshold=threshold, r_min=r_min)
 
 
-@dataclass(frozen=True)
-class DiffWeights:
-    """Trapezoid weights for sums approximating integral f d(b)."""
-
-    w: np.ndarray
-    description: str = ""
-
-
-def diff_weights(b_values, description: str = "") -> DiffWeights:
+def diff_weights(b_values) -> np.ndarray:
     """Trapezoid weights against the differential of sampled b.
 
     w[0] = (b[1]-b[0])/2, interior w[i] = (b[i+1]-b[i-1])/2, and
@@ -80,12 +73,4 @@ def diff_weights(b_values, description: str = "") -> DiffWeights:
     w[0] = 0.5 * (b[1] - b[0])
     w[1:-1] = 0.5 * (b[2:] - b[:-2])
     w[-1] = 0.5 * (b[-1] - b[-2])
-    return DiffWeights(w=w, description=description)
-
-
-def integrate(a_values, weights: DiffWeights) -> float:
-    """Dot product of sampled integrand values with diff weights."""
-    a = np.asarray(a_values, dtype=float)
-    if a.shape != weights.w.shape:
-        raise ValueError("integrand and weights have different lengths")
-    return float(a @ weights.w)
+    return w

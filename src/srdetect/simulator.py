@@ -31,7 +31,7 @@ statistic to its fixed point near 1 without ever alarming.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,27 +98,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class PathOutcome:
-    """One trajectory's stopping data and running integrals.
-
-    delay is (stop_time - max(change_time, 0))+ and detected is the
-    indicator stop_time > change_time; both are 0/False when the change
-    never happens on the path.
-    """
-
-    stop_time: float
-    stopped: bool
-    r_at_stop: float
-    delay: float
-    detected: bool
-    int_r: float
-    int_g: float
-    int_disc: float
-    int_g_disc: float
-    lam: float
-
-
-@dataclass(frozen=True)
 class McEstimate:
     mean: float
     std_err: float
@@ -140,18 +119,16 @@ class MartingaleCheck:
 class SimBatch:
     """Vectorized per-path outputs of simulate_paths.
 
-    int_disc and int_g_disc carry one row per requested lambda:
-    row j holds integral e^{-lams[j] t} dt and
-    integral e^{-lams[j] t} g(R_t) dt over [0, stop_time).
+    int_g_disc, accumulated step by step, and the property int_disc,
+    summed in closed form, carry one row per requested lambda: row j
+    holds the left-point sums of e^{-lams[j] t} g(R_t) dt and of
+    e^{-lams[j] t} dt over the K = stop_time/dt steps before the stop.
     """
 
     stop_time: np.ndarray
     stopped: np.ndarray
     r_at_stop: np.ndarray
     change_time: np.ndarray
-    int_r: np.ndarray
-    int_g: np.ndarray
-    int_disc: np.ndarray
     int_g_disc: np.ndarray
     lams: np.ndarray
     r_star: float
@@ -161,6 +138,15 @@ class SimBatch:
     @property
     def capped_fraction(self) -> float:
         return float(1.0 - np.mean(self.stopped))
+
+    @property
+    def int_disc(self) -> np.ndarray:
+        """sum_{k<K} dt e^{-lam k dt} in closed form, one row per lambda."""
+        dt = self.config.dt
+        K = np.rint(self.stop_time / dt)
+        x = self.lams[:, None] * dt
+        safe = np.where(x > 0.0, x, 1.0)
+        return np.where(x > 0.0, dt * np.expm1(-safe * K) / np.expm1(-safe), K * dt)
 
     @property
     def delay(self) -> np.ndarray:
@@ -197,25 +183,6 @@ class _DelayTable:
         frac = pos - i
         v = self._vals
         return v[i] + frac * (v[i + 1] - v[i])
-
-    def lookup_scalar(self, R: float) -> float:
-        return float(self.lookup(np.asarray([R]))[0])
-
-
-def step_statistic(R, du, dt: float):
-    """Advance the statistic one step: R' = e^du R + (dt/2)(e^du + 1).
-
-    Exact in du given the trapezoid treatment of the clock term; maps
-    nonnegative R to positive R'.
-    """
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ValueError("dt must be positive and finite")
-    R = np.asarray(R, dtype=float)
-    if np.any(R < 0.0):
-        raise ValueError("R must be nonnegative")
-    e = np.exp(np.asarray(du, dtype=float))
-    out = e * R + 0.5 * dt * (e + 1.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def _chunk_sizes(n_paths: int, chunk_size: int) -> list[int]:
@@ -263,17 +230,11 @@ def _simulate_chunk(
     # compact state (alive paths only); idx maps back to output slots
     R = np.full(m, float(r_star))
     idx = np.arange(m)
-    int_r = np.zeros(m)
-    int_g = np.zeros(m)
-    int_disc = np.zeros((n_lam, m))
     int_g_disc = np.zeros((n_lam, m))
 
     out_stop = np.full(m, n_steps * dt)
     out_stopped = np.zeros(m, dtype=bool)
     out_r = np.empty(m)
-    out_int_r = np.zeros(m)
-    out_int_g = np.zeros(m)
-    out_int_disc = np.zeros((n_lam, m))
     out_int_g_disc = np.zeros((n_lam, m))
 
     # left-endpoint discount weights e^{-lam t}, advanced by one decay
@@ -283,12 +244,8 @@ def _simulate_chunk(
 
     for k in range(n_steps):
         t = k * dt
-        gv = table.lookup(R)
-        int_r += R * dt
-        g_dt = gv * dt
-        int_g += g_dt
+        g_dt = table.lookup(R) * dt
         int_g_disc += disc[:, None] * g_dt[None, :]
-        int_disc += disc[:, None] * dt
 
         if tau is None:
             frac = 0.0
@@ -308,16 +265,10 @@ def _simulate_chunk(
             out_stop[gone] = t + dt
             out_stopped[gone] = True
             out_r[gone] = R[crossed]
-            out_int_r[gone] = int_r[crossed]
-            out_int_g[gone] = int_g[crossed]
-            out_int_disc[:, gone] = int_disc[:, crossed]
             out_int_g_disc[:, gone] = int_g_disc[:, crossed]
             keep = ~crossed
             R = R[keep]
             idx = idx[keep]
-            int_r = int_r[keep]
-            int_g = int_g[keep]
-            int_disc = int_disc[:, keep]
             int_g_disc = int_g_disc[:, keep]
             if tau is not None:
                 tau = tau[keep]
@@ -327,19 +278,17 @@ def _simulate_chunk(
 
     if R.size:
         out_r[idx] = R
-        out_int_r[idx] = int_r
-        out_int_g[idx] = int_g
-        out_int_disc[:, idx] = int_disc
         out_int_g_disc[:, idx] = int_g_disc
 
-    return out_stop, out_stopped, out_r, out_tau, out_int_r, out_int_g, out_int_disc, out_int_g_disc
+    return out_stop, out_stopped, out_r, out_tau, out_int_g_disc
 
 
 def simulate_paths(r_star: float, gamma: float, config: SimConfig, lams=(0.0,)) -> SimBatch:
     """Simulate config.n_paths trajectories until alarm or horizon.
 
     lams lists the discount rates for which the per-path discounted
-    integrals are accumulated (one pass over the paths covers them all).
+    delay integrals are accumulated (one pass over the paths covers them
+    all); the discounted clock int_disc follows from the stop step.
     """
     if not (np.isfinite(r_star) and r_star > 0.0):
         raise ValueError("r_star must be positive and finite")
@@ -354,47 +303,18 @@ def simulate_paths(r_star: float, gamma: float, config: SimConfig, lams=(0.0,)) 
     parts = []
     for chunk_index, m in enumerate(_chunk_sizes(config.n_paths, config.chunk_size)):
         parts.append(_simulate_chunk(r_star, gamma, config, lams, chunk_index, m, table))
-    cols = [np.concatenate([p[j] for p in parts], axis=-1) for j in range(8)]
+    cols = [np.concatenate([p[j] for p in parts], axis=-1) for j in range(5)]
     return SimBatch(
         stop_time=cols[0],
         stopped=cols[1],
         r_at_stop=cols[2],
         change_time=cols[3],
-        int_r=cols[4],
-        int_g=cols[5],
-        int_disc=cols[6],
-        int_g_disc=cols[7],
+        int_g_disc=cols[4],
         lams=lams,
         r_star=r_star,
         gamma=gamma,
         config=config,
     )
-
-
-def run_path(r_star: float, gamma: float, config: SimConfig, lam: float = 0.0) -> PathOutcome:
-    """Simulate a single trajectory and return its outcome."""
-    one = _replace_n_paths(config, 1)
-    batch = simulate_paths(r_star, gamma, one, lams=(lam,))
-    return PathOutcome(
-        stop_time=float(batch.stop_time[0]),
-        stopped=bool(batch.stopped[0]),
-        r_at_stop=float(batch.r_at_stop[0]),
-        delay=float(batch.delay[0]),
-        detected=bool(batch.detected[0]),
-        int_r=float(batch.int_r[0]),
-        int_g=float(batch.int_g[0]),
-        int_disc=float(batch.int_disc[0, 0]),
-        int_g_disc=float(batch.int_g_disc[0, 0]),
-        lam=lam,
-    )
-
-
-def _replace_n_paths(config: SimConfig, n: int) -> SimConfig:
-    if config.n_paths == n:
-        return config
-    kwargs = {f: getattr(config, f) for f in config.__dataclass_fields__}
-    kwargs["n_paths"] = n
-    return SimConfig(**kwargs)
 
 
 def _estimate(values: np.ndarray, seed: int) -> McEstimate:
@@ -406,7 +326,7 @@ def _estimate(values: np.ndarray, seed: int) -> McEstimate:
 def _batch_for(r_star, gamma, config, lams, paths: SimBatch | None, n_paths=None) -> SimBatch:
     if paths is None:
         if n_paths is not None:
-            config = _replace_n_paths(config, n_paths)
+            config = replace(config, n_paths=n_paths)
         return simulate_paths(r_star, gamma, config, lams=lams if lams else (0.0,))
     if n_paths is not None and n_paths != paths.stop_time.size:
         raise ValueError("n_paths conflicts with the size of the supplied batch")
@@ -554,26 +474,22 @@ def mc_delay_ratio(
     return McEstimate(mean=ratio, std_err=se, n_paths=n, seed=config.seed)
 
 
-def detect_stream(increments, r_star: float, gamma: float) -> PathOutcome:
+def detect_stream(increments, r_star: float, gamma: float) -> tuple[bool, float, float]:
     """Run the detector over an iterable of (dt, dxi) records.
 
     dxi is the raw observation increment in units where the post-change
     drift is sqrt(2); the log-likelihood increment is du = -dt + sqrt(2) dxi.
-    Returns at the first alarm, or after the stream is exhausted with
-    stopped=False.  Malformed records raise ValueError naming the record.
-    The stream carries no change-time information, so delay and detected
-    are 0 and False in the returned outcome.
+    Returns (stopped, t, R): at the first alarm, with no record after it
+    read, or with stopped=False once the stream is exhausted.  Malformed
+    records raise ValueError naming the record.
     """
     if not (np.isfinite(r_star) and r_star > 0.0):
         raise ValueError("r_star must be positive and finite")
     if not (np.isfinite(gamma) and gamma > 0.0):
         raise ValueError("gamma must be positive and finite")
     A = r_star + gamma
-    table = _DelayTable(r_star, gamma)
     R = float(r_star)
     t = 0.0
-    int_r = 0.0
-    int_g = 0.0
     for recno, rec in enumerate(increments, start=1):
         try:
             dt_k, dxi_k = rec
@@ -585,18 +501,9 @@ def detect_stream(increments, r_star: float, gamma: float) -> PathOutcome:
             raise ValueError(f"record {recno}: dt must be positive and finite")
         if not math.isfinite(dxi_k):
             raise ValueError(f"record {recno}: dxi must be finite")
-        int_r += R * dt_k
-        int_g += table.lookup_scalar(R) * dt_k
-        du = -dt_k + SQRT2 * dxi_k
-        e = math.exp(du)
+        e = math.exp(-dt_k + SQRT2 * dxi_k)
         R = e * R + 0.5 * dt_k * (e + 1.0)
         t += dt_k
         if R >= A:
-            return PathOutcome(
-                stop_time=t, stopped=True, r_at_stop=R, delay=0.0, detected=False,
-                int_r=int_r, int_g=int_g, int_disc=t, int_g_disc=int_g, lam=0.0,
-            )
-    return PathOutcome(
-        stop_time=t, stopped=False, r_at_stop=R, delay=0.0, detected=False,
-        int_r=int_r, int_g=int_g, int_disc=t, int_g_disc=int_g, lam=0.0,
-    )
+            return True, t, R
+    return False, t, R

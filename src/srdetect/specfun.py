@@ -11,15 +11,13 @@ E1/Ei would overflow or underflow long before that.
 
 Evaluation regimes:
 
-* e1: power series for x <= 1, modified Lentz continued fraction above
+* e1_scaled: power series for x <= 1, modified Lentz continued fraction above
   (the continued fraction natively produces the scaled value).
-* ei: power series (all terms positive, no cancellation) for x <= 40,
+* ei_scaled: power series (all terms positive, no cancellation) for x <= 40,
   optimally truncated asymptotic series in 1/x above (natively scaled).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,23 +97,6 @@ def _e1_scaled_large(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def e1(x):
-    """Exponential integral E1(x), for x > 0.
-
-    Underflows to 0 around x ~ 740; use e1_scaled when the exponential
-    scale matters.
-    """
-    arr, scalar = _prep(x)
-    out = np.empty_like(arr)
-    lo = arr <= 1.0
-    if lo.any():
-        out[lo] = _e1_series(arr[lo])
-    if not lo.all():
-        hi = arr[~lo]
-        out[~lo] = np.exp(-hi) * _e1_scaled_large(hi)
-    return float(out[0]) if scalar else out
-
-
 def e1_scaled(x):
     """Exponentially scaled exponential integral e^x E1(x), for x > 0.
 
@@ -178,21 +159,6 @@ def ei_scaled(x):
     if not lo.all():
         out[~lo] = _ei_asymptotic_scaled(arr[~lo])
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class ScaledExpIntegrals:
-    """Both scaled integrals evaluated on a common set of arguments."""
-
-    x: np.ndarray
-    e1_scaled: np.ndarray
-    ei_scaled: np.ndarray
-
-
-def scaled_pair(x) -> ScaledExpIntegrals:
-    """Evaluate e1_scaled and ei_scaled together on positive arguments."""
-    arr, _ = _prep(x)
-    return ScaledExpIntegrals(x=arr, e1_scaled=e1_scaled(arr), ei_scaled=ei_scaled(arr))
 
 
 def g(R, r_star, gamma):

@@ -188,6 +188,42 @@ def test_detect_malformed_row_names_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_detect_names_physical_line_after_blank_row(tmp_path, capsys):
+    inp = tmp_path / "blank.csv"
+    inp.write_text("dt,dxi\n0.001,0\n\n0.001,0\nabc,0\n")
+    rc = main(["detect", "--input", str(inp), "--gamma", "5",
+               "--r-star", "1.0707", "--out", str(tmp_path / "d.csv")])
+    assert rc == 5
+    assert "line 5" in capsys.readouterr().err
+
+
+def test_detect_ignores_rows_after_alarm(tmp_path, capsys):
+    inp = tmp_path / "tail.csv"
+    write_csv(inp, skeleton_rows(6000) + [["abc", "def"], ["1e-3"]], header=["dt", "dxi"])
+    out = tmp_path / "det.csv"
+    rc = main(["detect", "--input", str(inp), "--gamma", "5",
+               "--r-star", "1.0707", "--out", str(out)])
+    assert rc == 0
+    assert "alarm at t=5" in capsys.readouterr().out
+    assert read_csv(out)[1][0][0] == "1"
+
+
+@pytest.mark.parametrize(
+    "args,msg",
+    [
+        (["--gamma", "-1"], "gamma"),
+        (["--gamma", "5", "--r-star", "-0.5"], "r_star"),
+    ],
+)
+def test_detect_argument_errors_exit_2(tmp_path, capsys, args, msg):
+    inp = tmp_path / "obs.csv"
+    write_csv(inp, skeleton_rows(10), header=["dt", "dxi"])
+    out = tmp_path / "d.csv"
+    assert main(["detect", "--input", str(inp), "--out", str(out)] + args) == 2
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_detect_rejects_stalled_timestamps(tmp_path, capsys):
     inp = tmp_path / "stall.csv"
     write_csv(inp, [[1e-3, 0.0], [1e-3, 0.0]], header=["t", "dxi"])

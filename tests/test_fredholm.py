@@ -61,7 +61,7 @@ def _seg_weights(b):
     if b.size == 2:
         d = 0.5 * (b[1] - b[0])
         return np.array([d, d])
-    return diff_weights(b).w
+    return diff_weights(b)
 
 
 def _dense_kernel(grid):
@@ -76,7 +76,7 @@ def _dense_kernel(grid):
     c_a = np.exp(x0) * (ei_scaled(x0) - grid.threshold)
     eis = ei_scaled(s)
     d_coef = (eis - 1.0 / s)[::-1]
-    w_full = diff_weights(np.exp(-s)).w[::-1]
+    w_full = diff_weights(np.exp(-s))[::-1]
     P = np.zeros((n, n))
     for i in range(n - 1):
         k = n - 1 - i

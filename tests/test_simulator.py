@@ -21,39 +21,46 @@ from srdetect.simulator import (
     mc_f_lambda,
     mc_martingale_check,
     mc_mean_stop_time,
-    run_path,
     simulate_paths,
-    step_statistic,
 )
 
 R_STAR, GAMMA = 1.0707, 5.0
 
 
+def after_one_record(R, du, dt):
+    """R after one detect_stream record whose log-likelihood increment is du."""
+    _, t, out = detect_stream([(dt, (du + dt) / SQRT2)], R, GAMMA)
+    assert t == dt
+    return out
+
+
 def test_step_statistic_formula_and_types():
-    assert step_statistic(2.0, 0.0, 1e-3) == 2.0 + 1e-3
-    out = step_statistic(np.array([0.0, 1.0]), np.log(2.0), 0.5)
-    assert out.shape == (2,)
-    assert out[0] == pytest.approx(0.25 * 3.0)
-    assert out[1] == pytest.approx(2.0 + 0.25 * 3.0)
-    assert isinstance(step_statistic(1.0, -0.1, 1e-3), float)
+    assert after_one_record(2.0, 0.0, 1e-3) == 2.0 + 1e-3
+    assert after_one_record(1.0, np.log(2.0), 0.5) == pytest.approx(2.0 + 0.25 * 3.0)
+    # bit for bit R' = e^du R + (dt/2)(e^du + 1), du = -dt + sqrt(2) dxi
+    dt, dxi = 1e-3, 0.0371
+    e = math.exp(-dt + SQRT2 * dxi)
+    assert detect_stream([(dt, dxi)], 1.25, GAMMA)[2] == e * 1.25 + 0.5 * dt * (e + 1.0)
+    stopped, t, R = detect_stream([(1e-3, -0.1)], 1.0, GAMMA)
+    assert type(stopped) is bool and type(t) is float and type(R) is float
 
 
 def test_step_statistic_rejects_bad_input():
-    with pytest.raises(ValueError):
-        step_statistic(1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        step_statistic(-1.0, 0.0, 1e-3)
+    with pytest.raises(ValueError, match="record 1: dt"):
+        detect_stream([(0.0, 0.0)], 1.0, GAMMA)
+    with pytest.raises(ValueError, match="r_star"):
+        detect_stream([(1e-3, 0.0)], -1.0, GAMMA)
 
 
 @given(
-    R=st.floats(0.0, 100.0),
+    R=st.floats(0.0, 100.0, exclude_min=True),
     du=st.floats(-5.0, 5.0),
     dt=st.floats(1e-6, 1.0),
 )
 def test_step_statistic_positive_and_monotone(R, du, dt):
-    out = step_statistic(R, du, dt)
+    out = after_one_record(R, du, dt)
     assert out > 0.0
-    assert step_statistic(R + 1.0, du, dt) > out
+    assert after_one_record(R + 1.0, du, dt) > out
 
 
 @pytest.mark.parametrize(
@@ -112,7 +119,6 @@ def test_power_of_two_rescaling_is_exact():
     b2 = simulate_paths(4 * R_STAR, 4 * GAMMA, c2)
     assert np.array_equal(b2.stop_time, 4.0 * b1.stop_time)
     assert np.array_equal(b2.r_at_stop, 4.0 * b1.r_at_stop)
-    assert np.array_equal(b2.int_r, 16.0 * b1.int_r)
 
 
 def test_martingale_identity_within_noise():
@@ -187,6 +193,19 @@ def test_discounted_integrals_ordered_and_consistent():
     assert np.all(batch.int_disc[1] > batch.int_disc[2])
 
 
+def test_int_disc_closed_form_matches_direct_sum():
+    # t_max = 1 caps a share of the paths, whose K is the horizon step
+    cfg = SimConfig(dt=1e-3, seed=5, n_paths=1000, t_max=1.0)
+    lams = (0.0, 0.5, 4.0, 50.0)
+    batch = simulate_paths(0.7868, 2.0, cfg, lams=lams)
+    assert 0.2 < batch.capped_fraction < 1.0
+    K = np.rint(batch.stop_time / cfg.dt).astype(int)
+    for j, lam in enumerate(lams):
+        terms = cfg.dt * np.exp(-lam * cfg.dt * np.arange(K.max()))
+        direct = np.concatenate([[0.0], np.cumsum(terms)])[K]
+        assert np.allclose(batch.int_disc[j], direct, rtol=1e-11, atol=0.0)
+
+
 def test_simulate_paths_validation():
     cfg = SimConfig(n_paths=10)
     with pytest.raises(ValueError):
@@ -225,36 +244,41 @@ def test_f_lambda_zero_is_centered_and_equalizer_flat():
 
 def test_run_path_single_outcome():
     cfg = SimConfig(dt=1e-3, seed=9, n_paths=1, regime="post_change")
-    out = run_path(R_STAR, GAMMA, cfg, lam=1.0)
-    assert out.stopped and out.detected
-    assert out.stop_time > 0.0 and out.delay == out.stop_time
-    assert out.lam == 1.0
-    assert 0.0 < out.int_disc < out.stop_time + 1e-9
+    out = simulate_paths(R_STAR, GAMMA, cfg, lams=(1.0,))
+    assert out.stopped.shape == (1,) and out.int_disc.shape == (1, 1)
+    assert out.stopped[0] and out.detected[0]
+    assert out.stop_time[0] > 0.0 and out.delay[0] == out.stop_time[0]
+    assert out.lams.tolist() == [1.0]
+    assert 0.0 < out.int_disc[0, 0] < out.stop_time[0] + 1e-9
 
 
 def test_detect_stream_skeleton_alarm():
     dt = 1e-3
     stream = [(dt, dt / SQRT2)] * 6000  # du = 0: statistic climbs by dt
-    out = detect_stream(stream, R_STAR, GAMMA)
-    assert out.stopped
-    assert out.stop_time == pytest.approx(GAMMA, abs=1e-9)
-    assert out.r_at_stop >= R_STAR + GAMMA
-    assert out.int_disc == out.stop_time
+    stopped, t, R = detect_stream(stream, R_STAR, GAMMA)
+    assert stopped
+    assert t == pytest.approx(GAMMA, abs=1e-9)
+    assert R >= R_STAR + GAMMA
+
+
+def test_detect_stream_reads_no_record_after_alarm():
+    dt = 1e-3
+    stream = iter([(dt, dt / SQRT2)] * 6000)
+    stopped, t, _ = detect_stream(stream, R_STAR, GAMMA)
+    assert stopped
+    assert len(list(stream)) == 6000 - round(t / dt)
 
 
 def test_detect_stream_zero_observations_decay_without_alarm():
     dt = 1e-3
-    out = detect_stream([(dt, 0.0)] * 4000, R_STAR, GAMMA)
-    assert not out.stopped
-    assert out.stop_time == pytest.approx(4.0)
-    assert 0.9 < out.r_at_stop < 1.1
+    stopped, t, R = detect_stream([(dt, 0.0)] * 4000, R_STAR, GAMMA)
+    assert not stopped
+    assert t == pytest.approx(4.0)
+    assert 0.9 < R < 1.1
 
 
 def test_detect_stream_empty():
-    out = detect_stream([], R_STAR, GAMMA)
-    assert not out.stopped
-    assert out.stop_time == 0.0
-    assert out.r_at_stop == R_STAR
+    assert detect_stream([], R_STAR, GAMMA) == (False, 0.0, R_STAR)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Scaled exponential integral checks against independently coded oracles.
 
 The oracles below run in extended (80-bit) precision with different
-algorithm choices than the library: the e1 oracle uses the odd-form
+algorithm choices than the library: the e1_scaled oracle uses the odd-form
 continued fraction, and the ei oracle uses the everywhere-convergent
 power series (all terms positive, no cancellation), so shared blind
 spots with the library implementation are unlikely.
@@ -11,15 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srdetect.specfun import (
-    EULER_GAMMA,
-    ScaledExpIntegrals,
-    e1,
-    e1_scaled,
-    ei_scaled,
-    g,
-    scaled_pair,
-)
+from srdetect.specfun import EULER_GAMMA, e1_scaled, ei_scaled, g
 
 LD = np.longdouble
 _GAMMA_LD = LD("0.5772156649015328606065")
@@ -87,15 +79,6 @@ def test_e1_scaled_matches_oracle(log_points):
     assert rel.max() < 1e-12
 
 
-def test_e1_matches_oracle(log_points):
-    pts = log_points[log_points <= 600.0]
-    expected = np.array([oracle_e1_scaled(float(x)) for x in pts]) * np.exp(-pts)
-    got = e1(pts)
-    mask = expected > 0.0
-    rel = np.abs(got[mask] - expected[mask]) / expected[mask]
-    assert rel.max() < 1e-12
-
-
 def test_ei_scaled_matches_oracle():
     pts = np.logspace(-8, np.log10(500.0), 10_000)
     expected = np.array([oracle_ei_scaled(float(x)) for x in pts])
@@ -142,16 +125,6 @@ def test_scalar_and_array_shapes():
     assert isinstance(ei_scaled(2.0), float)
 
 
-@given(st.floats(min_value=1e-6, max_value=500.0))
-@settings(max_examples=200, deadline=None)
-def test_scaled_pair_consistency(x):
-    pair = scaled_pair(x)
-    assert isinstance(pair, ScaledExpIntegrals)
-    assert pair.x == x
-    assert pair.e1_scaled == e1_scaled(x)
-    assert pair.ei_scaled == ei_scaled(x)
-
-
 @given(st.floats(min_value=1e-6, max_value=590.0), st.floats(min_value=1e-3, max_value=1.0))
 @settings(max_examples=200, deadline=None)
 def test_e1_scaled_strictly_decreasing(x, step):
@@ -164,8 +137,6 @@ def test_rejects_nonpositive_and_nonfinite(bad):
         e1_scaled(bad)
     with pytest.raises(ValueError):
         ei_scaled(bad)
-    with pytest.raises(ValueError):
-        e1(bad)
 
 
 def test_g_is_zero_at_threshold_and_decreasing():
