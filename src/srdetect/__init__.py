@@ -7,7 +7,6 @@ of the detection statistic.
 """
 
 from srdetect.calibration import (
-    BracketError,
     CalibrationResult,
     asymptotic_r_star,
     calibrate,
@@ -41,7 +40,6 @@ from srdetect.specfun import e1_scaled, ei_scaled, g
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketError",
     "CalibrationResult",
     "Grid",
     "HorizonCapError",

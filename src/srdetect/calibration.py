@@ -14,10 +14,11 @@ it everywhere, here and for the f0 vector in fredholm: Gauss-Legendre on
 panels in u = ln x (_log_integrals), where it is accurate to rounding
 level at a cost that grows only with ln(A/R).
 
-calibrate() solves f0(r*) = 0 (with r* also moving A) by bisection; the
-bracket [0.05, 2.3] covers every gamma because r* increases from ~0 toward
-the finite limit ~2.2998 as gamma grows.  asymptotic_r_star() computes that
-limit as the root of 1 - e^{1/r} E1(1/r).
+calibrate() solves f0(r*) = 0 (with r* also moving A) by Brent's method;
+the bracket [0.05, 2.3] covers every gamma down to about 0.005 because r*
+increases from ~0 toward the finite limit ~2.2998 as gamma grows.
+asymptotic_r_star() computes that limit as the root of 1 - e^{1/r} E1(1/r)
+on [2, 3].  Both roots are found to xtol = 1e-14.
 """
 
 from __future__ import annotations
@@ -38,18 +39,19 @@ class CalibrationResult:
     r_star: float
     residual: float
     iterations: int
-    bracket: tuple[float, float]
 
 
-class BracketError(ValueError):
-    """Bisection bracket does not straddle a sign change."""
+def _brent(fn, a: float, b: float, what: str) -> tuple[float, int]:
+    """Root of fn on [a, b] to xtol = 1e-14, with Brent's iteration count."""
+    # imported here: scipy.optimize adds about 0.25 s to the package import,
+    # which commands given --r-star never need
+    from scipy import optimize
 
-    def __init__(self, a: float, fa: float, b: float, fb: float):
-        self.endpoints = (a, b)
-        self.values = (fa, fb)
-        super().__init__(
-            f"no sign change on bracket: f({a:g}) = {fa:.6g}, f({b:g}) = {fb:.6g}"
-        )
+    try:
+        root, info = optimize.brentq(fn, a, b, xtol=1e-14, full_output=True)
+    except ValueError as exc:
+        raise ValueError(f"{what}: no sign change on the bracket [{a:g}, {b:g}]") from exc
+    return root, info.iterations
 
 
 def _log_integrals(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -99,68 +101,25 @@ def f0_at(R, r_star, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
-def calibrate(
-    gamma: float,
-    tol: float = 1e-6,
-    bracket: tuple[float, float] = (0.05, 2.3),
-    max_iter: int = 200,
-) -> CalibrationResult:
-    """Find the head start r* with |f0(r*)| <= tol by bisection.
+def calibrate(gamma: float) -> CalibrationResult:
+    """Find the head start r* with f0(r*) = 0 by Brent's method on [0.05, 2.3].
 
     The objective is phi(r) = f0_at(r, r, gamma): the head start is both
     the evaluation point and the parameter (it shifts the threshold too).
-    Raises BracketError when phi has the same sign at both endpoints.
+    Raises ValueError, naming gamma and the bracket, when phi has the
+    same sign at both ends (gamma below about 0.005).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    a, b = bracket
-    if not 0.0 < a < b:
-        raise ValueError("bracket must satisfy 0 < a < b")
-
-    def phi(r: float) -> float:
-        return f0_at(r, r, gamma)
-
-    fa = phi(a)
-    fb = phi(b)
-    if fa == 0.0:
-        return CalibrationResult(gamma, a, fa, 0, bracket)
-    if fb == 0.0:
-        return CalibrationResult(gamma, b, fb, 0, bracket)
-    if np.sign(fa) == np.sign(fb):
-        raise BracketError(a, fa, b, fb)
-    for k in range(1, max_iter + 1):
-        mid = 0.5 * (a + b)
-        fm = phi(mid)
-        if abs(fm) <= tol:
-            return CalibrationResult(gamma, mid, fm, k, bracket)
-        if np.sign(fm) == np.sign(fa):
-            a, fa = mid, fm
-        else:
-            b = mid
-    raise RuntimeError(f"bisection did not reach |f0| <= {tol:g} in {max_iter} steps")
+    if not (np.isfinite(gamma) and gamma > 0.0):
+        raise ValueError("gamma must be positive and finite")
+    r_star, iterations = _brent(
+        lambda r: f0_at(r, r, gamma), 0.05, 2.3, f"calibrate(gamma={gamma:g})"
+    )
+    return CalibrationResult(gamma, r_star, f0_at(r_star, r_star, gamma), iterations)
 
 
-def asymptotic_r_star(tol: float = 1e-6) -> float:
-    """Large-gamma limit of the head start: root of 1 - e^{1/r} E1(1/r).
+def asymptotic_r_star() -> float:
+    """Large-gamma limit of the head start: root of 1 - e^{1/r} E1(1/r) on [2, 3].
 
-    Bisects on [2, 3] until the interval is below tol; the root is
-    2.299812 to six decimals.
+    The root is 2.299812 to six decimals.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-
-    def psi(r: float) -> float:
-        return 1.0 - e1_scaled(1.0 / r)
-
-    a, b = 2.0, 3.0
-    fa = psi(a)
-    while (b - a) > 2.0 * tol:
-        mid = 0.5 * (a + b)
-        fm = psi(mid)
-        if fm == 0.0:
-            return mid
-        if np.sign(fm) == np.sign(fa):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    return _brent(lambda r: 1.0 - e1_scaled(1.0 / r), 2.0, 3.0, "asymptotic_r_star")[0]

@@ -8,13 +8,14 @@ verify      lambda-sweep the solved perturbation value f_lambda(r*) and
 simulate    Monte Carlo statistical checks of the calibrated procedure
 detect      run the detector over a CSV of observation increments
 
-Exit codes: 0 success, 2 bad arguments or calibration failure, 3 sign
-violation in verify, 4 failed statistical check in simulate, 5 missing
-or malformed detect input.  detect resolves the head start before it
-opens its input, so a bad --gamma or --r-star exits 2; it then reads one
-row at a time and stops at the alarm, so only rows up to the alarm can
-exit 5.  Output files are CSV; they land in the location named by --out
-or, by default, under $SRDETECT_OUT or the working directory.
+Exit codes: 0 success, 2 bad arguments or calibration failure (in
+simulate also a horizon that caps paths), 3 sign violation in verify, 4
+failed statistical check in simulate, 5 missing or malformed detect
+input.  detect resolves the head start before it opens its input, so a
+bad --gamma or --r-star exits 2; it then reads one row at a time and
+stops at the alarm, so only rows up to the alarm can exit 5.  Output
+files are CSV; they land in the location named by --out or, by default,
+under $SRDETECT_OUT or the working directory.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from srdetect.calibration import BracketError, calibrate, f0_at
+from srdetect.calibration import calibrate, f0_at
 from srdetect.fredholm import sweep_lambda
 from srdetect.quadrature import make_grid
 from srdetect.simulator import (
+    HorizonCapError,
     SimConfig,
     mc_delay_ratio,
     mc_f_lambda,
@@ -74,8 +76,8 @@ def _fail(msg: str, code: int) -> int:
 
 def cmd_calibrate(args) -> int:
     try:
-        res = calibrate(args.gamma, tol=args.tol)
-    except (ValueError, BracketError) as exc:
+        res = calibrate(args.gamma)
+    except ValueError as exc:
         return _fail(str(exc), 2)
     out = Path(args.out) if args.out else _out_dir(None) / "calibration.csv"
     _write_csv(
@@ -84,7 +86,7 @@ def cmd_calibrate(args) -> int:
         [[res.gamma, res.r_star, res.residual, res.iterations]],
     )
     print(f"gamma={res.gamma:g}: r_star={res.r_star:.6f} "
-          f"(|f0|={abs(res.residual):.2e}, {res.iterations} bisection steps) -> {out}")
+          f"(|f0|={abs(res.residual):.2e}, {res.iterations} Brent iterations) -> {out}")
     return 0
 
 
@@ -107,7 +109,7 @@ def cmd_verify(args) -> int:
             r_star = args.r_star
             residual = f0_at(r_star, r_star, gamma)
         else:
-            res = calibrate(gamma, tol=args.tol)
+            res = calibrate(gamma)
             r_star, residual = res.r_star, res.residual
         out = _out_dir(args.out)
 
@@ -119,7 +121,7 @@ def cmd_verify(args) -> int:
         grid = make_grid(args.r_min, r_star, gamma, grid_n)
         lams = np.linspace(0.0, args.lambda_max, lambda_count + 1)[1:]
         sweep = sweep_lambda(grid, r_star, gamma, lams)
-    except (ValueError, BracketError) as exc:
+    except ValueError as exc:
         return _fail(str(exc), 2)
 
     sweep_path = out / "lambda_sweep.csv"
@@ -171,11 +173,13 @@ def cmd_simulate(args) -> int:
             noiseless=args.noiseless,
         )
         lam = args.lam if args.lam is not None else 0.0
+        if not all(math.isfinite(r) and r >= 0.0 for r in args.r or []):
+            return _fail("--r must be nonnegative and finite", 2)
         if ("flambda" in checks or "equalizer" in checks) and lam * max(args.r or [0.0]) > 1.0:
             return _fail("lambda * r must be <= 1 for the equalizer check", 2)
         lams = sorted({0.0, lam})
         batch = simulate_paths(r_star, args.gamma, config, lams=lams)
-    except (ValueError, BracketError) as exc:
+    except ValueError as exc:
         return _fail(str(exc), 2)
 
     gamma = args.gamma
@@ -192,15 +196,14 @@ def cmd_simulate(args) -> int:
 
     try:
         if "stoptime" in checks:
-            est = mc_mean_stop_time(r_star, gamma, config, paths=batch)
+            est = mc_mean_stop_time(batch)
             tol = max(3.0 * est.std_err, 0.05 * gamma)  # overshoot allowance
             record("stoptime", est, gamma, abs(est.mean - gamma) <= tol)
         if "martingale" in checks:
-            chk = mc_martingale_check(r_star, gamma, config, paths=batch)
-            est = chk.difference
+            est = mc_martingale_check(batch).difference
             record("martingale", est, 0.0, abs(est.mean) <= 4.0 * est.std_err)
         if "flambda" in checks:
-            est = mc_f_lambda(r_star, gamma, lam, config, paths=batch)
+            est = mc_f_lambda(batch, lam)
             if lam == 0.0:
                 ok = abs(est.mean) <= 4.0 * est.std_err
             else:
@@ -208,10 +211,10 @@ def cmd_simulate(args) -> int:
             record(f"flambda(lambda={lam:g})", est, 0.0, ok)
         if "equalizer" in checks:
             for r in args.r if args.r else [0.0, r_star, 3.0]:
-                est = mc_delay_ratio(r, 0.0, r_star, gamma, config, paths=batch)
+                est = mc_delay_ratio(batch, r, 0.0)
                 ok = abs(est.mean - g_star) <= 4.0 * est.std_err
                 record(f"equalizer(r={r:g})", est, g_star, ok)
-    except ValueError as exc:
+    except HorizonCapError as exc:
         return _fail(str(exc), 2)
 
     out = Path(args.out) if args.out else _out_dir(None) / "sim_checks.csv"
@@ -272,7 +275,7 @@ def cmd_detect(args) -> int:
         r_star = args.r_star if args.r_star is not None else calibrate(args.gamma).r_star
         if not (math.isfinite(r_star) and r_star > 0.0):
             raise ValueError("r_star must be positive and finite")
-    except (ValueError, BracketError) as exc:
+    except ValueError as exc:
         return _fail(str(exc), 2)
     path = Path(args.input)
     if not path.exists():
@@ -304,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="solve for the head start r*")
     p.add_argument("--gamma", type=float, required=True, help="mean time between false alarms")
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", type=str, default=None, help="output CSV path")
     p.set_defaults(func=cmd_calibrate)
 
@@ -317,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=float, default=2e-3)
     p.add_argument("--lambda-count", type=int, default=None)
     p.add_argument("--lambda-max", type=float, default=10.0)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--scan-n", type=int, default=100)
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.set_defaults(func=cmd_verify)

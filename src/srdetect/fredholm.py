@@ -127,7 +127,7 @@ def assemble_f0_vector(grid: Grid, r_star: float, gamma: float) -> np.ndarray:
     """Sample f0 on the grid nodes.
 
     Each node is calibration.f0_at on its own range, by the same rule
-    that calibrate() bisects on, so the snapped r* node holds exactly
+    that calibrate() solves, so the snapped r* node holds exactly
     calibrate()'s residual and the threshold node holds 0.
     """
     return f0_at(grid.nodes, np.full(grid.n, r_star), gamma)

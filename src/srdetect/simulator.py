@@ -31,7 +31,7 @@ statistic to its fixed point near 1 without ever alarming.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from srdetect.specfun import e1_scaled, g
 
 SQRT2 = math.sqrt(2.0)
 
-_REGIMES = ("pre_change", "post_change", "change_at", "random_prior")
+_REGIMES = ("pre_change", "post_change")
 _KEY_MASK = (1 << 64) - 1
 
 
@@ -52,11 +52,9 @@ class SimConfig:
     """Simulation settings; the change-point regime is part of the config.
 
     regime:
-        pre_change    change never happens
-        post_change   change at t = 0
-        change_at     change at the fixed time change_time
-        random_prior  change at 0 with probability prior_r * prior_lambda,
-                      else Exp(prior_lambda) distributed
+        pre_change    change never happens (false alarms, and every
+                      change point through the estimators' reweighting)
+        post_change   change at t = 0 (the delay from a change at 0)
     """
 
     dt: float = 1e-3
@@ -65,9 +63,6 @@ class SimConfig:
     n_paths: int = 100_000
     drift_mu: float = SQRT2
     regime: str = "pre_change"
-    change_time: float = 0.0
-    prior_r: float = 0.0
-    prior_lambda: float = 0.0
     noiseless: bool = False
     chunk_size: int = 16384
 
@@ -84,17 +79,6 @@ class SimConfig:
             raise ValueError("drift_mu must be nonzero and finite")
         if self.regime not in _REGIMES:
             raise ValueError(f"regime must be one of {_REGIMES}")
-        if self.regime == "change_at" and not (
-            np.isfinite(self.change_time) and self.change_time >= 0.0
-        ):
-            raise ValueError("change_time must be nonnegative and finite")
-        if self.regime == "random_prior":
-            if not (np.isfinite(self.prior_lambda) and self.prior_lambda >= 0.0):
-                raise ValueError("prior_lambda must be nonnegative and finite")
-            if not (np.isfinite(self.prior_r) and self.prior_r >= 0.0):
-                raise ValueError("prior_r must be nonnegative and finite")
-            if self.prior_r * self.prior_lambda > 1.0:
-                raise ValueError("prior_r * prior_lambda is a probability, must be <= 1")
 
 
 @dataclass(frozen=True)
@@ -107,10 +91,8 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class MartingaleCheck:
-    """Both sides of E[R_T] = r* + E[T] plus their paired difference."""
+    """The paired difference R_T - r* - T, zero in mean, and the overshoot."""
 
-    value_side: McEstimate
-    time_side: McEstimate
     difference: McEstimate
     mean_overshoot: float
 
@@ -128,7 +110,6 @@ class SimBatch:
     stop_time: np.ndarray
     stopped: np.ndarray
     r_at_stop: np.ndarray
-    change_time: np.ndarray
     int_g_disc: np.ndarray
     lams: np.ndarray
     r_star: float
@@ -147,16 +128,6 @@ class SimBatch:
         x = self.lams[:, None] * dt
         safe = np.where(x > 0.0, x, 1.0)
         return np.where(x > 0.0, dt * np.expm1(-safe * K) / np.expm1(-safe), K * dt)
-
-    @property
-    def delay(self) -> np.ndarray:
-        """Per-path detection delay (stop_time - change_time+)+."""
-        return np.maximum(self.stop_time - np.maximum(self.change_time, 0.0), 0.0)
-
-    @property
-    def detected(self) -> np.ndarray:
-        """Per-path indicator that the alarm came after the change."""
-        return self.stop_time > self.change_time
 
 
 class _DelayTable:
@@ -207,25 +178,15 @@ def _simulate_chunk(
     A = r_star + gamma
     dt = cfg.dt
     half_drift = 0.5 * cfg.drift_mu * cfg.drift_mu * dt
+    post = cfg.regime == "post_change"
+    # du has mean -half_drift before the change and +half_drift after it;
+    # the noiseless skeleton keeps only the post-change gain (du = 0 before)
+    drift = half_drift if post else -half_drift
+    e_skeleton = math.exp(half_drift) if post else 1.0
     sig = abs(cfg.drift_mu) * math.sqrt(dt)
     t_max = cfg.t_max if cfg.t_max is not None else 100.0 * gamma
     n_steps = int(math.ceil(t_max / dt))
     n_lam = lams.size
-
-    if cfg.regime == "pre_change":
-        tau = None
-    elif cfg.regime == "post_change":
-        tau = np.zeros(m)
-    elif cfg.regime == "change_at":
-        tau = np.full(m, cfg.change_time)
-    else:
-        if cfg.prior_lambda == 0.0:
-            tau = None
-        else:
-            atom = rng.random(m) < cfg.prior_r * cfg.prior_lambda
-            draws = rng.standard_exponential(m) / cfg.prior_lambda
-            tau = np.where(atom, 0.0, draws)
-    out_tau = np.full(m, np.inf) if tau is None else tau.copy()
 
     # compact state (alive paths only); idx maps back to output slots
     R = np.full(m, float(r_star))
@@ -246,17 +207,10 @@ def _simulate_chunk(
         t = k * dt
         g_dt = table.lookup(R) * dt
         int_g_disc += disc[:, None] * g_dt[None, :]
-
-        if tau is None:
-            frac = 0.0
-        else:
-            frac = np.clip((t + dt - tau) / dt, 0.0, 1.0)
         if cfg.noiseless:
-            du = frac * half_drift
-            e = np.exp(du) if tau is not None else 1.0
+            e = e_skeleton
         else:
-            du = (2.0 * frac - 1.0) * half_drift + sig * rng.standard_normal(R.size)
-            e = np.exp(du)
+            e = np.exp(drift + sig * rng.standard_normal(R.size))
         R = e * R + (0.5 * dt) * (e + 1.0)
 
         crossed = R >= A
@@ -270,8 +224,6 @@ def _simulate_chunk(
             R = R[keep]
             idx = idx[keep]
             int_g_disc = int_g_disc[:, keep]
-            if tau is not None:
-                tau = tau[keep]
             if R.size == 0:
                 break
         disc = disc * decay
@@ -280,7 +232,7 @@ def _simulate_chunk(
         out_r[idx] = R
         out_int_g_disc[:, idx] = int_g_disc
 
-    return out_stop, out_stopped, out_r, out_tau, out_int_g_disc
+    return out_stop, out_stopped, out_r, out_int_g_disc
 
 
 def simulate_paths(r_star: float, gamma: float, config: SimConfig, lams=(0.0,)) -> SimBatch:
@@ -303,13 +255,12 @@ def simulate_paths(r_star: float, gamma: float, config: SimConfig, lams=(0.0,)) 
     parts = []
     for chunk_index, m in enumerate(_chunk_sizes(config.n_paths, config.chunk_size)):
         parts.append(_simulate_chunk(r_star, gamma, config, lams, chunk_index, m, table))
-    cols = [np.concatenate([p[j] for p in parts], axis=-1) for j in range(5)]
+    cols = [np.concatenate([p[j] for p in parts], axis=-1) for j in range(4)]
     return SimBatch(
         stop_time=cols[0],
         stopped=cols[1],
         r_at_stop=cols[2],
-        change_time=cols[3],
-        int_g_disc=cols[4],
+        int_g_disc=cols[3],
         lams=lams,
         r_star=r_star,
         gamma=gamma,
@@ -323,144 +274,87 @@ def _estimate(values: np.ndarray, seed: int) -> McEstimate:
     return McEstimate(mean=float(np.mean(values)), std_err=se, n_paths=n, seed=seed)
 
 
-def _batch_for(r_star, gamma, config, lams, paths: SimBatch | None, n_paths=None) -> SimBatch:
-    if paths is None:
-        if n_paths is not None:
-            config = replace(config, n_paths=n_paths)
-        return simulate_paths(r_star, gamma, config, lams=lams if lams else (0.0,))
-    if n_paths is not None and n_paths != paths.stop_time.size:
-        raise ValueError("n_paths conflicts with the size of the supplied batch")
-    for lam in lams:
-        if not np.any(np.isclose(paths.lams, lam, rtol=0.0, atol=1e-15)):
-            raise ValueError(f"supplied batch has no discount rate {lam}")
-    return paths
-
-
 def _lam_row(batch: SimBatch, lam: float) -> int:
-    return int(np.flatnonzero(np.isclose(batch.lams, lam, rtol=0.0, atol=1e-15))[0])
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError("lam must be nonnegative and finite")
+    rows = np.flatnonzero(np.isclose(batch.lams, lam, rtol=0.0, atol=1e-15))
+    if rows.size == 0:
+        raise ValueError(f"batch has no discount rate {lam}")
+    return int(rows[0])
 
 
-def _require_regime(config: SimConfig, regime: str, what: str):
-    if config.regime != regime:
-        raise ValueError(f"{what} requires the {regime} regime, got {config.regime}")
+def _require_pre_change(batch: SimBatch, what: str):
+    if batch.config.regime != "pre_change":
+        raise ValueError(f"{what} requires the pre_change regime, got {batch.config.regime}")
 
 
-def _check_cap(batch: SimBatch, what: str, limit: float = 1e-3):
+def _check_cap(batch: SimBatch, what: str):
     frac = batch.capped_fraction
-    if frac > limit:
+    if frac > 1e-3:
         raise HorizonCapError(
-            f"{what}: {frac:.2%} of paths hit the horizon (limit {limit:.2%}); "
+            f"{what}: {frac:.2%} of paths hit the horizon (limit 0.10%); "
             "raise t_max or lower dt"
         )
 
 
-def mc_mean_stop_time(
-    r_star: float,
-    gamma: float,
-    config: SimConfig,
-    n_paths: int | None = None,
-    paths: SimBatch | None = None,
-) -> McEstimate:
-    """Mean alarm time; in the pre_change regime it targets gamma.
+def mc_mean_stop_time(batch: SimBatch) -> McEstimate:
+    """Mean alarm time: gamma before the change, the delay g(r*) after it.
 
-    n_paths overrides config.n_paths for convenience; a precomputed
-    batch can be passed instead to share paths across estimators.
     Raises HorizonCapError when more than 0.1% of paths were capped,
     since capping biases the mean downward.
     """
-    batch = _batch_for(r_star, gamma, config, (), paths, n_paths)
     _check_cap(batch, "mc_mean_stop_time")
-    return _estimate(batch.stop_time, config.seed)
+    return _estimate(batch.stop_time, batch.config.seed)
 
 
-def mc_martingale_check(
-    r_star: float,
-    gamma: float,
-    config: SimConfig,
-    n_paths: int | None = None,
-    paths: SimBatch | None = None,
-) -> MartingaleCheck:
-    """Check E[R_stop] = r* + E[stop] under the pre-change law.
+def mc_martingale_check(batch: SimBatch) -> MartingaleCheck:
+    """Check E[R_stop] = r* + E[stop] on a pre-change batch.
 
     The identity holds exactly for the discrete chain even for capped
     paths (optional stopping at a bounded time), so no cap guard is
     needed; the paired difference should be zero within noise.
     """
-    _require_regime(config, "pre_change", "mc_martingale_check")
-    batch = _batch_for(r_star, gamma, config, (), paths, n_paths)
-    value_side = _estimate(batch.r_at_stop, config.seed)
-    time_side = McEstimate(
-        mean=r_star + float(np.mean(batch.stop_time)),
-        std_err=float(np.std(batch.stop_time, ddof=1) / math.sqrt(batch.stop_time.size)),
-        n_paths=batch.stop_time.size,
-        seed=config.seed,
-    )
-    difference = _estimate(batch.r_at_stop - r_star - batch.stop_time, config.seed)
-    A = r_star + gamma
+    _require_pre_change(batch, "mc_martingale_check")
+    difference = _estimate(batch.r_at_stop - batch.r_star - batch.stop_time, batch.config.seed)
+    A = batch.r_star + batch.gamma
     if batch.stopped.any():
         mean_overshoot = float(np.mean(batch.r_at_stop[batch.stopped] - A))
     else:
         mean_overshoot = float("nan")
-    return MartingaleCheck(
-        value_side=value_side,
-        time_side=time_side,
-        difference=difference,
-        mean_overshoot=mean_overshoot,
-    )
+    return MartingaleCheck(difference=difference, mean_overshoot=mean_overshoot)
 
 
-def mc_f_lambda(
-    r_star: float,
-    gamma: float,
-    lam: float,
-    config: SimConfig,
-    n_paths: int | None = None,
-    paths: SimBatch | None = None,
-) -> McEstimate:
-    """Estimate E[integral_0^T e^{-lam t} (g(R_t) - g(r*)) dt], pre-change.
+def mc_f_lambda(batch: SimBatch, lam: float) -> McEstimate:
+    """Estimate E[integral_0^T e^{-lam t} (g(R_t) - g(r*)) dt] on a pre-change batch.
 
     This is the Monte Carlo twin of the solved perturbation value
     f_lam(r*): zero at lam = 0 by calibration, conjectured negative for
-    lam > 0.
+    lam > 0.  The batch must carry the discount rate lam.
     """
-    _require_regime(config, "pre_change", "mc_f_lambda")
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise ValueError("lam must be nonnegative and finite")
-    batch = _batch_for(r_star, gamma, config, (lam,), paths, n_paths)
+    _require_pre_change(batch, "mc_f_lambda")
     j = _lam_row(batch, lam)
-    g_star = g(r_star, r_star, gamma)
+    g_star = g(batch.r_star, batch.r_star, batch.gamma)
     values = batch.int_g_disc[j] - g_star * batch.int_disc[j]
-    return _estimate(values, config.seed)
+    return _estimate(values, batch.config.seed)
 
 
-def mc_delay_ratio(
-    r: float,
-    lam: float,
-    r_star: float,
-    gamma: float,
-    config: SimConfig,
-    n_paths: int | None = None,
-    paths: SimBatch | None = None,
-) -> McEstimate:
+def mc_delay_ratio(batch: SimBatch, r: float, lam: float) -> McEstimate:
     """Worst-case discounted delay ratio for prior parameters (r, lam).
 
     Estimates
         [r g(r*) + (1 - lam r) E int e^{-lam t} g(R_t) dt]
         / [r + (1 - lam r) E int e^{-lam t} dt]
-    from pre-change paths; at lam = 0 it is the equalized delay, equal
-    to g(r*) for every r.  The standard error is the delta-method value
-    for a ratio of correlated means.
+    from a pre-change batch carrying the rate lam; at lam = 0 it is the
+    equalized delay, equal to g(r*) for every r.  The standard error is
+    the delta-method value for a ratio of correlated means.
     """
-    _require_regime(config, "pre_change", "mc_delay_ratio")
+    _require_pre_change(batch, "mc_delay_ratio")
     if not (np.isfinite(r) and r >= 0.0):
         raise ValueError("r must be nonnegative and finite")
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise ValueError("lam must be nonnegative and finite")
     if lam * r > 1.0:
         raise ValueError("need lam * r <= 1 for a proper prior")
-    batch = _batch_for(r_star, gamma, config, (lam,), paths, n_paths)
     j = _lam_row(batch, lam)
-    g_star = g(r_star, r_star, gamma)
+    g_star = g(batch.r_star, batch.r_star, batch.gamma)
     w = 1.0 - lam * r
     num = r * g_star + w * batch.int_g_disc[j]
     den = r + w * batch.int_disc[j]
@@ -471,7 +365,7 @@ def mc_delay_ratio(
     cov = np.cov(num, den, ddof=1)
     var = (cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio * ratio * cov[1, 1]) / n
     se = math.sqrt(max(var, 0.0)) / abs(den_mean)
-    return McEstimate(mean=ratio, std_err=se, n_paths=n, seed=config.seed)
+    return McEstimate(mean=ratio, std_err=se, n_paths=n, seed=batch.config.seed)
 
 
 def detect_stream(increments, r_star: float, gamma: float) -> tuple[bool, float, float]:

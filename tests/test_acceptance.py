@@ -84,14 +84,14 @@ def sweep20(cal20):
 def batch5_pre(cal5):
     res, _ = cal5
     cfg = SimConfig(dt=1e-3, seed=42, n_paths=100_000)
-    return simulate_paths(res.r_star, 5.0, cfg, lams=(0.0,)), cfg
+    return simulate_paths(res.r_star, 5.0, cfg, lams=(0.0,))
 
 
 @pytest.fixture(scope="module")
 def batch20_pre(cal20):
     res, _ = cal20
     cfg = SimConfig(dt=1e-3, seed=42, n_paths=100_000)
-    return simulate_paths(res.r_star, 20.0, cfg, lams=(0.0,)), cfg
+    return simulate_paths(res.r_star, 20.0, cfg, lams=(0.0,))
 
 
 @pytest.fixture(scope="module")
@@ -99,21 +99,21 @@ def batch_eq(cal5):
     # the equalizer comparison is boundary sensitive; run finer steps
     res, _ = cal5
     cfg = SimConfig(dt=1e-4, seed=77, n_paths=20_000)
-    return simulate_paths(res.r_star, 5.0, cfg, lams=(0.0,)), cfg
+    return simulate_paths(res.r_star, 5.0, cfg, lams=(0.0,))
 
 
 @pytest.fixture(scope="module")
 def batch_post(cal5):
     res, _ = cal5
     cfg = SimConfig(dt=2.5e-4, seed=42, n_paths=100_000, regime="post_change")
-    return simulate_paths(res.r_star, 5.0, cfg, lams=(0.0,)), cfg
+    return simulate_paths(res.r_star, 5.0, cfg, lams=(0.0,))
 
 
 @pytest.fixture(scope="module")
 def batch_f(cal5):
     res, _ = cal5
     cfg = SimConfig(dt=1.25e-4, seed=2024, n_paths=100_000)
-    return simulate_paths(res.r_star, 5.0, cfg, lams=(0.5, 2.0, 8.0)), cfg
+    return simulate_paths(res.r_star, 5.0, cfg, lams=(0.5, 2.0, 8.0))
 
 
 @pytest.fixture(scope="module")
@@ -199,13 +199,10 @@ def test_criterion_06_refinement_order(cal5):
            f"resid 2001={resids[2001]:.2e}, 4001={resids[4001]:.2e}, ratio={ratio:.2f}")
 
 
-def test_criterion_07_mean_time_to_alarm(batch5_pre, batch20_pre, cal5, cal20):
+def test_criterion_07_mean_time_to_alarm(batch5_pre, batch20_pre):
     parts, ok = [], True
-    for gamma, (batch, cfg), (res, _) in (
-        (5.0, batch5_pre, cal5),
-        (20.0, batch20_pre, cal20),
-    ):
-        est = mc_mean_stop_time(res.r_star, gamma, cfg, paths=batch)
+    for gamma, batch in ((5.0, batch5_pre), (20.0, batch20_pre)):
+        est = mc_mean_stop_time(batch)
         tol = max(3.0 * est.std_err, 0.05 * gamma)
         dev = abs(est.mean - gamma)
         ok = ok and dev <= tol
@@ -213,10 +210,8 @@ def test_criterion_07_mean_time_to_alarm(batch5_pre, batch20_pre, cal5, cal20):
     report(7, "pre-change mean alarm time equals gamma", ok, "; ".join(parts))
 
 
-def test_criterion_08_martingale_identity(batch5_pre, cal5):
-    batch, cfg = batch5_pre
-    res, _ = cal5
-    chk = mc_martingale_check(res.r_star, 5.0, cfg, paths=batch)
+def test_criterion_08_martingale_identity(batch5_pre):
+    chk = mc_martingale_check(batch5_pre)
     bound = 3.0 * chk.difference.std_err + chk.mean_overshoot
     ok = abs(chk.difference.mean) <= bound
     report(8, "E[R_T] = r* + E[T] within overshoot", ok,
@@ -227,16 +222,14 @@ def test_criterion_08_martingale_identity(batch5_pre, cal5):
 def test_criterion_09_equalized_delay(batch_eq, batch_post, cal5):
     res, _ = cal5
     g_star = g(res.r_star, res.r_star, 5.0)
-    batch, cfg = batch_eq
     heads = (0.0, res.r_star, 3.0)
-    ests = [mc_delay_ratio(r, 0.0, res.r_star, 5.0, cfg, paths=batch) for r in heads]
+    ests = [mc_delay_ratio(batch_eq, r, 0.0) for r in heads]
     ok = all(abs(e.mean - g_star) <= 3.0 * e.std_err for e in ests)
     for i in range(len(ests)):
         for j in range(i + 1, len(ests)):
             gap = abs(ests[i].mean - ests[j].mean)
             ok = ok and gap <= 3.0 * math.hypot(ests[i].std_err, ests[j].std_err)
-    pb, pc = batch_post
-    post = mc_mean_stop_time(res.r_star, 5.0, pc, paths=pb)
+    post = mc_mean_stop_time(batch_post)
     rel = abs(post.mean - g_star) / g_star
     ok = ok and rel <= 0.02
     detail = (
@@ -246,12 +239,10 @@ def test_criterion_09_equalized_delay(batch_eq, batch_post, cal5):
     report(9, "delay ratio is equalized across head starts", ok, detail)
 
 
-def test_criterion_10_two_routes_agree(batch_f, fred_vals, cal5):
-    batch, cfg = batch_f
-    res, _ = cal5
+def test_criterion_10_two_routes_agree(batch_f, fred_vals):
     parts, ok = [], True
     for lam in (0.5, 2.0, 8.0):
-        est = mc_f_lambda(res.r_star, 5.0, lam, cfg, paths=batch)
+        est = mc_f_lambda(batch_f, lam)
         z = (fred_vals[lam] - est.mean) / est.std_err
         ok = ok and abs(z) <= 2.576  # 99% two-sided
         parts.append(f"lam={lam:g}: solve={fred_vals[lam]:.5f} mc={est.mean:.5f} z={z:+.2f}")

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+import srdetect.calibration as calibration
 from srdetect.calibration import (
-    BracketError,
     CalibrationResult,
     asymptotic_r_star,
     calibrate,
@@ -17,14 +17,14 @@ def test_gamma_five_reproduces_published_root():
     res = calibrate(5.0)
     assert isinstance(res, CalibrationResult)
     assert res.r_star == pytest.approx(1.0707, abs=5e-4)
-    assert abs(res.residual) <= 1e-6
+    assert abs(res.residual) <= 1e-12
     assert res.iterations <= 200
 
 
 def test_gamma_twenty_reproduces_published_root():
     res = calibrate(20.0)
     assert res.r_star == pytest.approx(1.5240, abs=5e-4)
-    assert abs(res.residual) <= 1e-6
+    assert abs(res.residual) <= 1e-12
 
 
 def test_asymptotic_root():
@@ -47,14 +47,28 @@ MPMATH_ROOTS = {5.0: 1.07068274091, 20.0: 1.52398652430, 1000.0: 2.21482253794}
 
 @pytest.mark.parametrize("gamma", sorted(MPMATH_ROOTS))
 def test_root_matches_mpmath_oracle(gamma):
-    assert abs(calibrate(gamma).r_star - MPMATH_ROOTS[gamma]) <= 1e-6
+    assert abs(calibrate(gamma).r_star - MPMATH_ROOTS[gamma]) <= 1e-10
+
+
+@pytest.mark.parametrize("gamma", sorted(MPMATH_ROOTS))
+def test_calibrate_call_count(gamma, monkeypatch):
+    calls = []
+
+    def counted(R, r_star, g):
+        calls.append(R)
+        return f0_at(R, r_star, g)
+
+    monkeypatch.setattr(calibration, "f0_at", counted)
+    res = calibrate(gamma)
+    assert len(calls) <= 12
+    assert res.iterations <= len(calls)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 5.0, 8.0, 20.0, 50.0])
 def test_root_inside_default_bracket(gamma):
     res = calibrate(gamma)
     assert 0.05 < res.r_star < 2.3
-    assert abs(res.residual) <= 1e-6
+    assert abs(res.residual) <= 1e-12
 
 
 def test_root_increases_with_gamma():
@@ -73,11 +87,9 @@ def test_large_gamma_approaches_asymptotic_root():
 
 
 def test_bracket_without_sign_change_raises():
-    with pytest.raises(BracketError) as exc_info:
-        calibrate(5.0, bracket=(2.0, 2.2))
-    err = exc_info.value
-    assert err.endpoints == (2.0, 2.2)
-    assert len(err.values) == 2
+    # at gamma = 1e-3 the root lies below the bracket's lower end 0.05
+    with pytest.raises(ValueError, match=r"gamma=0\.001.*\[0\.05, 2\.3\]"):
+        calibrate(1e-3)
 
 
 def test_f0_at_domain_checks():

@@ -46,6 +46,9 @@ def test_calibrate_rejects_bad_gamma(capsys):
     rc = main(["calibrate", "--gamma", "-1"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    # a root below the bracket [0.05, 2.3] is bad input too
+    assert main(["calibrate", "--gamma", "1e-3"]) == 2
+    assert "no sign change on the bracket" in capsys.readouterr().err
 
 
 def test_verify_small_domain(tmp_path, capsys):
@@ -118,6 +121,20 @@ def test_simulate_argument_errors(tmp_path, capsys):
     assert main(["simulate", "--gamma", "2", "--checks", "equalizer",
                  "--lambda", "1.0", "--r", "3.0",
                  "--out", str(tmp_path / "y.csv")]) == 2
+    capsys.readouterr()
+    # bad head starts are caught before any path is simulated
+    for bad in ("-1", "nan"):
+        assert main(["simulate", "--gamma", "2", "--r", bad, "--n-paths", "100",
+                     "--dt", "1e-3", "--out", str(tmp_path / "z.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--r must be nonnegative and finite" in captured.err
+    assert not (tmp_path / "z.csv").exists()
+    # a horizon that caps most paths would bias E[T] low
+    assert main(["simulate", "--gamma", "5", "--t-max", "1", "--n-paths", "200",
+                 "--dt", "1e-3", "--out", str(tmp_path / "capped.csv")]) == 2
+    assert "hit the horizon" in capsys.readouterr().err
+    assert not (tmp_path / "capped.csv").exists()
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

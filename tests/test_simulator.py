@@ -23,6 +23,7 @@ from srdetect.simulator import (
     mc_mean_stop_time,
     simulate_paths,
 )
+from srdetect.specfun import g
 
 R_STAR, GAMMA = 1.0707, 5.0
 
@@ -73,9 +74,8 @@ def test_step_statistic_positive_and_monotone(R, du, dt):
         dict(chunk_size=0),
         dict(drift_mu=0.0),
         dict(regime="bogus"),
-        dict(regime="change_at", change_time=-1.0),
-        dict(regime="random_prior", prior_lambda=-1.0),
-        dict(regime="random_prior", prior_lambda=2.0, prior_r=1.0),
+        dict(regime="change_at"),
+        dict(regime="random_prior"),
     ],
 )
 def test_config_validation(kwargs):
@@ -123,10 +123,9 @@ def test_power_of_two_rescaling_is_exact():
 
 def test_martingale_identity_within_noise():
     cfg = SimConfig(dt=1e-3, seed=5, n_paths=4000)
-    chk = mc_martingale_check(0.7868, 2.0, cfg)
+    chk = mc_martingale_check(simulate_paths(0.7868, 2.0, cfg))
     assert abs(chk.difference.mean) <= 4.0 * chk.difference.std_err
     assert chk.mean_overshoot > 0.0
-    assert chk.time_side.mean == pytest.approx(chk.value_side.mean - chk.difference.mean)
 
 
 def test_martingale_identity_survives_truncation():
@@ -134,53 +133,25 @@ def test_martingale_identity_survives_truncation():
     cfg = SimConfig(dt=1e-3, seed=5, n_paths=5000, t_max=1.0)
     batch = simulate_paths(0.7868, 2.0, cfg)
     assert batch.capped_fraction > 0.2
-    chk = mc_martingale_check(0.7868, 2.0, cfg, paths=batch)
+    chk = mc_martingale_check(batch)
     assert abs(chk.difference.mean) <= 4.0 * chk.difference.std_err
 
 
 def test_horizon_cap_guard():
     cfg = SimConfig(dt=1e-3, seed=2, n_paths=2000, t_max=2.0)
     with pytest.raises(HorizonCapError):
-        mc_mean_stop_time(R_STAR, GAMMA, cfg)
-
-
-def test_change_at_delay_and_detection():
-    cfg = SimConfig(dt=1e-3, seed=4, n_paths=300, regime="change_at", change_time=1.0)
-    batch = simulate_paths(R_STAR, GAMMA, cfg)
-    assert np.all(batch.change_time == 1.0)
-    assert np.array_equal(batch.delay, np.maximum(batch.stop_time - 1.0, 0.0))
-    assert np.array_equal(batch.detected, batch.stop_time > 1.0)
+        mc_mean_stop_time(simulate_paths(R_STAR, GAMMA, cfg))
 
 
 def test_post_change_delay_equals_stop_time():
+    # with the change at t = 0 every alarm is a detection, and the mean
+    # stop time is the detection delay
     cfg = SimConfig(dt=1e-3, seed=4, n_paths=200, regime="post_change")
     batch = simulate_paths(R_STAR, GAMMA, cfg)
-    assert np.all(batch.change_time == 0.0)
-    assert np.array_equal(batch.delay, batch.stop_time)
-    assert batch.detected.all()
-
-
-def test_pre_change_never_detects():
-    cfg = SimConfig(dt=1e-3, seed=4, n_paths=100)
-    batch = simulate_paths(R_STAR, GAMMA, cfg)
-    assert np.all(np.isinf(batch.change_time))
-    assert not batch.detected.any()
-    assert np.all(batch.delay == 0.0)
-
-
-def test_random_prior_zero_rate_matches_pre_change_bitwise():
-    kw = dict(dt=1e-3, seed=3, n_paths=1000)
-    a = simulate_paths(R_STAR, GAMMA, SimConfig(regime="random_prior", **kw))
-    b = simulate_paths(R_STAR, GAMMA, SimConfig(**kw))
-    assert np.array_equal(a.stop_time, b.stop_time)
-    assert np.all(np.isinf(a.change_time))
-
-
-def test_random_prior_atom_puts_change_at_zero():
-    cfg = SimConfig(dt=1e-3, seed=3, n_paths=500, regime="random_prior",
-                    prior_lambda=0.5, prior_r=2.0)
-    batch = simulate_paths(R_STAR, GAMMA, cfg)
-    assert np.all(batch.change_time == 0.0)
+    assert batch.stopped.all()
+    est = mc_mean_stop_time(batch)
+    assert est.mean == np.mean(batch.stop_time)
+    assert (est.n_paths, est.seed) == (200, 4)
 
 
 def test_discounted_integrals_ordered_and_consistent():
@@ -221,23 +192,48 @@ def test_simulate_paths_validation():
 def test_estimators_require_matching_batch():
     cfg = SimConfig(dt=1e-3, seed=7, n_paths=300)
     batch = simulate_paths(R_STAR, GAMMA, cfg, lams=(0.0,))
-    with pytest.raises(ValueError, match="n_paths conflicts"):
-        mc_mean_stop_time(R_STAR, GAMMA, cfg, n_paths=200, paths=batch)
     with pytest.raises(ValueError, match="no discount rate"):
-        mc_f_lambda(R_STAR, GAMMA, 2.0, cfg, paths=batch)
-    with pytest.raises(ValueError, match="pre_change"):
-        mc_f_lambda(R_STAR, GAMMA, 1.0, SimConfig(regime="post_change", n_paths=10))
+        mc_f_lambda(batch, 2.0)
+    with pytest.raises(ValueError, match="no discount rate"):
+        mc_delay_ratio(batch, 0.0, 2.0)
     with pytest.raises(ValueError, match="lam \\* r"):
-        mc_delay_ratio(3.0, 1.0, R_STAR, GAMMA, cfg, paths=batch)
+        mc_delay_ratio(batch, 3.0, 1.0)
+    with pytest.raises(ValueError, match="r must be"):
+        mc_delay_ratio(batch, -1.0, 0.0)
+
+
+def test_estimators_read_r_star_gamma_and_seed_from_batch():
+    cfg = SimConfig(dt=1e-3, seed=1, n_paths=300)
+    batch = simulate_paths(R_STAR, GAMMA, cfg, lams=(0.0,))
+    est = mc_f_lambda(batch, 0.0)
+    assert est.seed == 1 and est.n_paths == 300
+    g_star = g(R_STAR, R_STAR, GAMMA)
+    assert est.mean == np.mean(batch.int_g_disc[0] - g_star * batch.int_disc[0])
+    assert mc_delay_ratio(batch, 0.0, 0.0).seed == 1
+    assert mc_martingale_check(batch).difference.mean == np.mean(
+        batch.r_at_stop - R_STAR - batch.stop_time
+    )
+
+
+def test_estimators_reject_post_change_batch():
+    cfg = SimConfig(dt=1e-3, seed=7, n_paths=50, regime="post_change")
+    batch = simulate_paths(R_STAR, GAMMA, cfg, lams=(0.0,))
+    for call in (
+        lambda: mc_f_lambda(batch, 0.0),
+        lambda: mc_martingale_check(batch),
+        lambda: mc_delay_ratio(batch, 0.0, 0.0),
+    ):
+        with pytest.raises(ValueError, match="requires the pre_change regime"):
+            call()
 
 
 def test_f_lambda_zero_is_centered_and_equalizer_flat():
     cfg = SimConfig(dt=1e-3, seed=7, n_paths=2000)
     batch = simulate_paths(R_STAR, GAMMA, cfg, lams=(0.0,))
-    est = mc_f_lambda(R_STAR, GAMMA, 0.0, cfg, paths=batch)
+    est = mc_f_lambda(batch, 0.0)
     assert abs(est.mean) <= 4.0 * est.std_err
-    d0 = mc_delay_ratio(0.0, 0.0, R_STAR, GAMMA, cfg, paths=batch)
-    d3 = mc_delay_ratio(3.0, 0.0, R_STAR, GAMMA, cfg, paths=batch)
+    d0 = mc_delay_ratio(batch, 0.0, 0.0)
+    d3 = mc_delay_ratio(batch, 3.0, 0.0)
     gap = abs(d0.mean - d3.mean)
     assert gap <= 4.0 * math.sqrt(d0.std_err**2 + d3.std_err**2)
 
@@ -246,8 +242,8 @@ def test_run_path_single_outcome():
     cfg = SimConfig(dt=1e-3, seed=9, n_paths=1, regime="post_change")
     out = simulate_paths(R_STAR, GAMMA, cfg, lams=(1.0,))
     assert out.stopped.shape == (1,) and out.int_disc.shape == (1, 1)
-    assert out.stopped[0] and out.detected[0]
-    assert out.stop_time[0] > 0.0 and out.delay[0] == out.stop_time[0]
+    assert out.stopped[0]
+    assert out.stop_time[0] > 0.0
     assert out.lams.tolist() == [1.0]
     assert 0.0 < out.int_disc[0, 0] < out.stop_time[0] + 1e-9
 
