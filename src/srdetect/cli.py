@@ -175,8 +175,6 @@ def cmd_simulate(args) -> int:
         lam = args.lam if args.lam is not None else 0.0
         if not all(math.isfinite(r) and r >= 0.0 for r in args.r or []):
             return _fail("--r must be nonnegative and finite", 2)
-        if ("flambda" in checks or "equalizer" in checks) and lam * max(args.r or [0.0]) > 1.0:
-            return _fail("lambda * r must be <= 1 for the equalizer check", 2)
         lams = sorted({0.0, lam})
         batch = simulate_paths(r_star, args.gamma, config, lams=lams)
     except ValueError as exc:

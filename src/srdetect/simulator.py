@@ -16,9 +16,15 @@ identities E[R_T] = r* + E[T] and E[T] = gamma hold without any
 discretization bias beyond threshold overshoot.
 
 Paths are simulated in fixed-size chunks, each driven by its own
-counter-based generator keyed by (seed, chunk index); results are
-bit-reproducible for a given (seed, chunk_size, dt, n_paths) and do not
-depend on how many chunks run or in what order they are reduced.
+counter-based generator keyed by (seed, chunk index).  Within a chunk
+the live paths advance in time blocks: a block draws the normals of
+several steps at once, runs the recursion a step-row at a time, and
+keeps the steps up to the first alarm, after which the alarmed paths
+leave and the next block starts.  Each step uses the same normals and
+the same float operations, in the same order, as stepping one step at a
+time, so results are bit-identical for a given (seed, chunk_size, dt,
+n_paths) whatever the block size, and do not depend on how many chunks
+run or in what order they are reduced.
 
 The noiseless mode replaces du by its information skeleton: du = 0
 before the change (the likelihood ratio stays flat, so R_t = r* + t and
@@ -101,9 +107,9 @@ class MartingaleCheck:
 class SimBatch:
     """Vectorized per-path outputs of simulate_paths.
 
-    int_g_disc, accumulated step by step, and the property int_disc,
-    summed in closed form, carry one row per requested lambda: row j
-    holds the left-point sums of e^{-lams[j] t} g(R_t) dt and of
+    int_g_disc, summed over the steps in step order, and the property
+    int_disc, summed in closed form, carry one row per requested lambda:
+    row j holds the left-point sums of e^{-lams[j] t} g(R_t) dt and of
     e^{-lams[j] t} dt over the K = stop_time/dt steps before the stop.
     """
 
@@ -135,7 +141,8 @@ class _DelayTable:
 
     g is near-linear at both ends (g(R) ~ g(0+) - R as R -> 0), so with
     2^17 cells the interpolation error is below 1e-9, far inside Monte
-    Carlo noise, while lookups are a few vector ops per step.
+    Carlo noise.  Each cell stores its left value and its slope side by
+    side, so a lookup gathers one row per point.
     """
 
     def __init__(self, r_star: float, gamma: float, n_cells: int = 1 << 17):
@@ -144,16 +151,19 @@ class _DelayTable:
         vals = np.empty(n_cells + 1)
         vals[0] = e1_scaled(1.0 / A)
         vals[1:] = g(xs[1:], r_star, gamma)
-        self._vals = vals
+        self._cells = np.column_stack((vals[:-1], np.diff(vals)))
         self._inv_h = n_cells / A
         self._n_cells = n_cells
 
     def lookup(self, R: np.ndarray) -> np.ndarray:
-        pos = R * self._inv_h
-        i = np.minimum(pos.astype(np.int64), self._n_cells - 1)
-        frac = pos - i
-        v = self._vals
-        return v[i] + frac * (v[i + 1] - v[i])
+        frac = R * self._inv_h
+        i = np.floor(frac)
+        np.minimum(i, self._n_cells - 1, out=i)
+        frac -= i
+        cell = self._cells.take(i.astype(np.intp), axis=0)
+        frac *= cell[..., 1]
+        frac += cell[..., 0]
+        return frac
 
 
 def _chunk_sizes(n_paths: int, chunk_size: int) -> list[int]:
@@ -161,6 +171,11 @@ def _chunk_sizes(n_paths: int, chunk_size: int) -> list[int]:
     if n_paths % chunk_size:
         sizes.append(n_paths % chunk_size)
     return sizes
+
+
+# most path-steps one time block holds; the block's work arrays are a few
+# times this many floats, whatever t_max/dt is
+_BLOCK_CAP = 1 << 14
 
 
 def _simulate_chunk(
@@ -172,6 +187,13 @@ def _simulate_chunk(
     m: int,
     table: _DelayTable,
 ):
+    """Simulate one chunk of m paths in time blocks of B steps.
+
+    Step k reads one normal per live path, in path order, from the chunk's
+    stream.  A block reads B such rows ahead and keeps the rows up to the
+    first one in which a path crosses; the normals of the rows it drops
+    are read again by the next block, which has fewer live paths.
+    """
     rng = np.random.Generator(
         np.random.Philox(key=np.array([cfg.seed & _KEY_MASK, chunk_index], dtype=np.uint64))
     )
@@ -198,25 +220,63 @@ def _simulate_chunk(
     out_r = np.empty(m)
     out_int_g_disc = np.zeros((n_lam, m))
 
-    # left-endpoint discount weights e^{-lam t}, advanced by one decay
-    # factor per step
+    # left-endpoint discount weights e^{-lam t} of step k, advanced by one
+    # decay factor per step
     disc = np.ones(n_lam)
     decay = np.exp(-lams * dt)
 
-    for k in range(n_steps):
-        t = k * dt
-        g_dt = table.lookup(R) * dt
-        int_g_disc += disc[:, None] * g_dt[None, :]
+    normals = np.empty(0)  # the stream from step k on starts at normals[pos]
+    pos = 0
+    k = 0
+    B = 1
+    while k < n_steps and R.size:
+        n = R.size
+        B = min(B, n_steps - k, max(1, _BLOCK_CAP // n))
         if cfg.noiseless:
-            e = e_skeleton
+            E = np.full((B, 1), e_skeleton)
         else:
-            e = np.exp(drift + sig * rng.standard_normal(R.size))
-        R = e * R + (0.5 * dt) * (e + 1.0)
+            if normals.size - pos < B * n:
+                fresh = rng.standard_normal(max(B * n, _BLOCK_CAP))
+                normals = np.concatenate((normals[pos:], fresh))
+                pos = 0
+            E = sig * normals[pos : pos + B * n].reshape(B, n)
+            E += drift
+            np.exp(E, out=E)
+        # one step: R' = e R + (dt/2)(e + 1), row j + 1 of H from row j
+        C = E + 1.0
+        C *= 0.5 * dt
+        H = np.empty((B + 1, n))
+        H[0] = R
+        h = H[0]
+        for e, c, h_next in zip(E, C, H[1:]):
+            np.multiply(e, h, h_next)
+            np.add(h_next, c, h_next)
+            h = h_next
+        above = H[1:] >= A
+        hit = above.any(axis=1)
+        J = int(hit.argmax()) + 1 if hit.any() else B
 
-        crossed = R >= A
-        if crossed.any():
+        # D[j] holds the discount weights of step k + j
+        D = np.empty((J + 1, n_lam))
+        D[0] = disc
+        D[1:] = decay
+        np.multiply.accumulate(D, axis=0, out=D)
+        g_dt = table.lookup(H[:J])
+        g_dt *= dt
+        # row by row, so each path's sum runs in step order (a reduce
+        # over the rows may sum pairwise)
+        for s in D[:J, :, None] * g_dt[:, None, :]:
+            np.add(int_g_disc, s, int_g_disc)
+        pos += J * n
+        k += J
+        R = H[J]
+        disc = D[J]
+
+        if hit[J - 1]:
+            crossed = above[J - 1]
             gone = idx[crossed]
-            out_stop[gone] = t + dt
+            # t + dt at the alarm step t = (k - 1) dt; k dt can round otherwise
+            out_stop[gone] = (k - 1) * dt + dt
             out_stopped[gone] = True
             out_r[gone] = R[crossed]
             out_int_g_disc[:, gone] = int_g_disc[:, crossed]
@@ -224,9 +284,9 @@ def _simulate_chunk(
             R = R[keep]
             idx = idx[keep]
             int_g_disc = int_g_disc[:, keep]
-            if R.size == 0:
-                break
-        disc = disc * decay
+            B = 2 * J
+        else:
+            B = 2 * B
 
     if R.size:
         out_r[idx] = R

@@ -118,10 +118,12 @@ def test_simulate_argument_errors(tmp_path, capsys):
     assert main(["simulate", "--gamma", "2", "--checks", "nonsense",
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "unknown checks" in capsys.readouterr().err
+    # the equalizer rows are computed at lambda = 0, so --lambda does not
+    # bound --r
     assert main(["simulate", "--gamma", "2", "--checks", "equalizer",
-                 "--lambda", "1.0", "--r", "3.0",
-                 "--out", str(tmp_path / "y.csv")]) == 2
-    capsys.readouterr()
+                 "--lambda", "1.0", "--r", "3.0", "--n-paths", "500",
+                 "--out", str(tmp_path / "y.csv")]) == 0
+    assert "equalizer(r=3)" in capsys.readouterr().out
     # bad head starts are caught before any path is simulated
     for bad in ("-1", "nan"):
         assert main(["simulate", "--gamma", "2", "--r", bad, "--n-paths", "100",

@@ -4,6 +4,9 @@ The strongest checks here are deterministic: the noiseless skeleton
 alarms at exactly gamma, and rescaling (mu, dt, r*, gamma) by a power
 of two reproduces the same chain bit for bit at 4x the scale, because
 every factor in the update is scaled by an exact float operation.
+The library steps its paths in time blocks; the per-step loop below,
+reading g from a two-gather table, is the oracle it must match bit for
+bit.
 """
 
 import math
@@ -12,10 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from srdetect import simulator
 from srdetect.simulator import (
     SQRT2,
     HorizonCapError,
     SimConfig,
+    _chunk_sizes,
+    _DelayTable,
+    _simulate_chunk,
     detect_stream,
     mc_delay_ratio,
     mc_f_lambda,
@@ -23,9 +30,99 @@ from srdetect.simulator import (
     mc_mean_stop_time,
     simulate_paths,
 )
-from srdetect.specfun import g
+from srdetect.specfun import e1_scaled, g
 
 R_STAR, GAMMA = 1.0707, 5.0
+
+
+def _grid_values(r_star, gamma, n_cells=1 << 17):
+    """g at the delay table's n_cells + 1 nodes on [0, A]."""
+    A = r_star + gamma
+    vals = np.empty(n_cells + 1)
+    vals[0] = e1_scaled(1.0 / A)
+    vals[1:] = g(np.linspace(0.0, A, n_cells + 1)[1:], r_star, gamma)
+    return vals
+
+
+def _two_gather_lookup(vals, A):
+    """Linear interpolation reading the two cell ends, clamped to the last cell."""
+    n_cells = vals.size - 1
+    inv_h = n_cells / A
+
+    def lookup(R):
+        pos = R * inv_h
+        i = np.minimum(pos.astype(np.int64), n_cells - 1)
+        frac = pos - i
+        return vals[i] + frac * (vals[i + 1] - vals[i])
+
+    return lookup
+
+
+def _reference_chunk(r_star, gamma, cfg, lams, chunk_index, m, lookup):
+    """One step of every live path at a time, one draw of R.size normals per step."""
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([cfg.seed & ((1 << 64) - 1), chunk_index], dtype=np.uint64))
+    )
+    A = r_star + gamma
+    dt = cfg.dt
+    half_drift = 0.5 * cfg.drift_mu * cfg.drift_mu * dt
+    post = cfg.regime == "post_change"
+    drift = half_drift if post else -half_drift
+    e_skeleton = math.exp(half_drift) if post else 1.0
+    sig = abs(cfg.drift_mu) * math.sqrt(dt)
+    t_max = cfg.t_max if cfg.t_max is not None else 100.0 * gamma
+    n_steps = int(math.ceil(t_max / dt))
+    n_lam = lams.size
+
+    R = np.full(m, float(r_star))
+    idx = np.arange(m)
+    int_g_disc = np.zeros((n_lam, m))
+
+    out_stop = np.full(m, n_steps * dt)
+    out_stopped = np.zeros(m, dtype=bool)
+    out_r = np.empty(m)
+    out_int_g_disc = np.zeros((n_lam, m))
+
+    disc = np.ones(n_lam)
+    decay = np.exp(-lams * dt)
+
+    for k in range(n_steps):
+        t = k * dt
+        g_dt = lookup(R) * dt
+        int_g_disc += disc[:, None] * g_dt[None, :]
+        if cfg.noiseless:
+            e = e_skeleton
+        else:
+            e = np.exp(drift + sig * rng.standard_normal(R.size))
+        R = e * R + (0.5 * dt) * (e + 1.0)
+
+        crossed = R >= A
+        if crossed.any():
+            gone = idx[crossed]
+            out_stop[gone] = t + dt
+            out_stopped[gone] = True
+            out_r[gone] = R[crossed]
+            out_int_g_disc[:, gone] = int_g_disc[:, crossed]
+            keep = ~crossed
+            R = R[keep]
+            idx = idx[keep]
+            int_g_disc = int_g_disc[:, keep]
+            if R.size == 0:
+                break
+        disc = disc * decay
+
+    if R.size:
+        out_r[idx] = R
+        out_int_g_disc[:, idx] = int_g_disc
+
+    return out_stop, out_stopped, out_r, out_int_g_disc
+
+
+def _chunks(simulate, r_star, gamma, cfg, lams):
+    """The four per-path outputs of every chunk, concatenated in chunk order."""
+    parts = [simulate(r_star, gamma, cfg, lams, c, m)
+             for c, m in enumerate(_chunk_sizes(cfg.n_paths, cfg.chunk_size))]
+    return [np.concatenate([p[j] for p in parts], axis=-1) for j in range(4)]
 
 
 def after_one_record(R, du, dt):
@@ -107,6 +204,60 @@ def test_bit_reproducible():
     assert np.array_equal(a.stop_time, b.stop_time)
     assert np.array_equal(a.r_at_stop, b.r_at_stop)
     assert np.array_equal(a.int_g_disc, b.int_g_disc)
+
+
+# (r*, gamma, lams, config) cases for the bit-identity check; dt = 2e-3
+# keeps the per-step oracle fast
+_ENGINE_CASES = {
+    "pre_change, 3 rates": (R_STAR, GAMMA, (0.0, 0.5, 2.0),
+                            SimConfig(dt=2e-3, seed=3, n_paths=300, chunk_size=128)),
+    "post_change, 1 rate": (R_STAR, GAMMA, (0.0,),
+                            SimConfig(dt=2e-3, seed=4, n_paths=400, regime="post_change")),
+    "noiseless": (R_STAR, GAMMA, (0.0, 1.0), SimConfig(dt=2e-3, n_paths=3, noiseless=True)),
+    "noiseless post_change": (R_STAR, GAMMA, (0.5,),
+                              SimConfig(dt=2e-3, n_paths=2, noiseless=True,
+                                        regime="post_change")),
+    "t_max capped": (1.524, 20.0, (0.0, 0.5),
+                     SimConfig(dt=2e-3, seed=5, n_paths=200, t_max=3.0)),
+    "1-path chunk": (R_STAR, GAMMA, (0.0, 0.5), SimConfig(dt=2e-3, seed=6, n_paths=1)),
+    "chunk_size=1": (R_STAR, GAMMA, (0.0, 0.5),
+                     SimConfig(dt=2e-3, seed=7, n_paths=6, chunk_size=1)),
+    "one rate, one live path": (R_STAR, GAMMA, (0.5,),
+                                SimConfig(dt=2e-3, seed=8, n_paths=12)),
+}
+
+
+@pytest.mark.parametrize("case", list(_ENGINE_CASES))
+def test_blocked_engine_matches_per_step_loop_bitwise(case, monkeypatch):
+    r_star, gamma, lams, cfg = _ENGINE_CASES[case]
+    lams = np.asarray(lams)
+    lookup = _two_gather_lookup(_grid_values(r_star, gamma), r_star + gamma)
+    ref = _chunks(lambda *a: _reference_chunk(*a, lookup), r_star, gamma, cfg, lams)
+    table = _DelayTable(r_star, gamma)
+    if case == "one rate, one live path":
+        # the last path runs alone for a long stretch of steps
+        last, second = np.sort(ref[0])[-2:][::-1]
+        assert last - second > 500 * cfg.dt
+    if case == "t_max capped":
+        assert 0.0 < ref[1].mean() < 1.0
+    # a block of one step, the default blocks, and blocks four times larger
+    for cap in (1, simulator._BLOCK_CAP, 1 << 16):
+        monkeypatch.setattr(simulator, "_BLOCK_CAP", cap)
+        new = _chunks(lambda *a: _simulate_chunk(*a, table), r_star, gamma, cfg, lams)
+        for name, a, b in zip(("stop_time", "stopped", "r_at_stop", "int_g_disc"), ref, new):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (cap, name)
+
+
+def test_delay_table_matches_two_gather_formula_bitwise():
+    for r_star, gamma in ((R_STAR, GAMMA), (1.524, 20.0)):
+        A = r_star + gamma
+        table = _DelayTable(r_star, gamma)
+        ref = _two_gather_lookup(_grid_values(r_star, gamma), A)
+        interior = np.random.default_rng(0).uniform(0.0, A, 10_000)
+        # R = A lands on the last node, where the cell index is clamped
+        edges = np.array([0.0, np.nextafter(A, 0.0), A])
+        for R in (interior, edges, interior.reshape(100, 100)):
+            assert np.array_equal(table.lookup(R), ref(R))
 
 
 def test_power_of_two_rescaling_is_exact():
