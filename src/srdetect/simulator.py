@@ -17,14 +17,21 @@ discretization bias beyond threshold overshoot.
 
 Paths are simulated in fixed-size chunks, each driven by its own
 counter-based generator keyed by (seed, chunk index).  Within a chunk
-the live paths advance in time blocks: a block draws the normals of
-several steps at once, runs the recursion a step-row at a time, and
-keeps the steps up to the first alarm, after which the alarmed paths
-leave and the next block starts.  Each step uses the same normals and
-the same float operations, in the same order, as stepping one step at a
-time, so results are bit-identical for a given (seed, chunk_size, dt,
-n_paths) whatever the block size, and do not depend on how many chunks
-run or in what order they are reduced.
+the live paths advance in time blocks: a block reads the step factors
+e^du and (dt/2)(e^du + 1) of several steps at once, runs the recursion
+a step-row at a time, and keeps the steps up to the first alarm, after
+which the alarmed paths leave and the next block starts.
+
+The step factors do not depend on the paths, so one helper thread
+computes them ahead: it draws the chunk's normals into a ring of
+preallocated slabs and forms the factors in place, while the main
+thread updates the paths from an earlier slab.  numpy releases the
+interpreter lock in the generator's fill and in the ufuncs, so the two
+threads overlap.  Each step uses the same normals and the same float
+operations, in the same order, as stepping one step at a time, so
+results are bit-identical for a given (seed, chunk_size, dt, n_paths)
+whatever the block size or the slab size, and do not depend on how
+many chunks run or in what order they are reduced.
 
 The noiseless mode replaces du by its information skeleton: du = 0
 before the change (the likelihood ratio stays flat, so R_t = r* + t and
@@ -36,6 +43,7 @@ statistic to its fixed point near 1 without ever alarming.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 
@@ -136,6 +144,10 @@ class SimBatch:
         return np.where(x > 0.0, dt * np.expm1(-safe * K) / np.expm1(-safe), K * dt)
 
 
+# cells of the delay table on [0, A]
+_TABLE_CELLS = 1 << 17
+
+
 class _DelayTable:
     """Uniform-grid linear interpolant of g(R) on [0, A].
 
@@ -145,20 +157,19 @@ class _DelayTable:
     side, so a lookup gathers one row per point.
     """
 
-    def __init__(self, r_star: float, gamma: float, n_cells: int = 1 << 17):
+    def __init__(self, r_star: float, gamma: float):
         A = r_star + gamma
-        xs = np.linspace(0.0, A, n_cells + 1)
-        vals = np.empty(n_cells + 1)
+        xs = np.linspace(0.0, A, _TABLE_CELLS + 1)
+        vals = np.empty(_TABLE_CELLS + 1)
         vals[0] = e1_scaled(1.0 / A)
         vals[1:] = g(xs[1:], r_star, gamma)
         self._cells = np.column_stack((vals[:-1], np.diff(vals)))
-        self._inv_h = n_cells / A
-        self._n_cells = n_cells
+        self._inv_h = _TABLE_CELLS / A
 
     def lookup(self, R: np.ndarray) -> np.ndarray:
         frac = R * self._inv_h
         i = np.floor(frac)
-        np.minimum(i, self._n_cells - 1, out=i)
+        np.minimum(i, _TABLE_CELLS - 1, out=i)
         frac -= i
         cell = self._cells.take(i.astype(np.intp), axis=0)
         frac *= cell[..., 1]
@@ -176,6 +187,112 @@ def _chunk_sizes(n_paths: int, chunk_size: int) -> list[int]:
 # most path-steps one time block holds; the block's work arrays are a few
 # times this many floats, whatever t_max/dt is
 _BLOCK_CAP = 1 << 14
+# values of e^du, and as many of (dt/2)(e^du + 1), in one slab of the
+# noise ring; its _N_SLABS slabs take 3 MB
+_SLAB = 1 << 16
+_N_SLABS = 3
+
+
+def _fill(rng, E, C, sig, drift, half_dt):
+    """Draw len(E) normals into E and turn them into the two step factors in place."""
+    rng.standard_normal(out=E)
+    E *= sig
+    E += drift
+    np.exp(E, out=E)
+    np.add(E, 1.0, out=C)
+    C *= half_dt
+
+
+class _NoiseRing:
+    """A chunk's step factors e^du and (dt/2)(e^du + 1), filled ahead on a helper thread.
+
+    The chunk's stream of normals is cut into fills.  Each fill is one task
+    on the single-worker pool, which writes the next stretch of the stream
+    into the next slab of a ring, so the helper is the only user of the
+    generator and fills run in stream order while the paths update.  The
+    factors are formed with the ufuncs of the inline update, in the same
+    order, so every value has the same bits.
+
+    The first fill holds at most _BLOCK_CAP values and sizes double up to
+    _SLAB.  A fill starts only while the total drawn stays within twice
+    the values the paths are sure to use, plus _BLOCK_CAP, so a short
+    chunk draws little more than it uses; a long one keeps every slab but
+    the one being read in flight.
+    """
+
+    def __init__(self, rng, sig: float, drift: float, dt: float, pool):
+        self._submit = lambda E, C: pool.submit(_fill, rng, E, C, sig, drift, 0.5 * dt)
+        self._slabs = [(np.empty(_SLAB), np.empty(_SLAB)) for _ in range(_N_SLABS)]
+        self._fills = collections.deque()  # (future, E, C) in stream order
+        self._n_fills = 0
+        self._size = min(_BLOCK_CAP, _SLAB)  # of the next fill
+        self._drawn = 0
+        self._used = 0  # the stream pointer
+        self._off = 0  # the pointer's offset into the first fill
+        self._ahead = 0  # values of a copied row consumed before advance
+
+    def _top_up(self, need: int):
+        """Start fills while the paths are sure to use `need` more values."""
+        limit = 2 * (self._used + need) + _BLOCK_CAP
+        while len(self._fills) < _N_SLABS and self._drawn + self._size <= limit:
+            E, C = self._slabs[self._n_fills % _N_SLABS]
+            E, C = E[: self._size], C[: self._size]
+            self._fills.append((self._submit(E, C), E, C))
+            self._n_fills += 1
+            self._drawn += self._size
+            self._size = min(2 * self._size, _SLAB)
+
+    def _first(self):
+        fut, E, C = self._fills[0]
+        fut.result()
+        return E, C
+
+    def _consume(self, count: int):
+        self._used += count
+        self._off += count
+        if self._off == self._fills[0][1].size:
+            self._fills.popleft()
+            self._off = 0
+
+    def rows(self, n: int, B: int):
+        """(E, C) for the next b <= B step-rows of n paths, as (b, n) arrays.
+
+        The rows come as views of the first fill, as many as it holds.  A
+        row that runs past the end of the fill is copied from the fills it
+        spans and consumed at once, since a block always keeps its first
+        row; it comes alone.
+        """
+        self._top_up(n)
+        E, C = self._first()
+        b = min(B, (E.size - self._off) // n)
+        if b:
+            s = slice(self._off, self._off + b * n)
+            return E[s].reshape(b, n), C[s].reshape(b, n)
+        row = np.empty((2, 1, n))
+        got = 0
+        while got < n:
+            self._top_up(n - got)
+            E, C = self._first()
+            take = min(n - got, E.size - self._off)
+            row[0, 0, got : got + take] = E[self._off : self._off + take]
+            row[1, 0, got : got + take] = C[self._off : self._off + take]
+            got += take
+            self._consume(take)
+        self._ahead = n
+        return row[0], row[1]
+
+    def advance(self, count: int):
+        """Move the stream pointer past the `count` values the block kept."""
+        if count > self._ahead:
+            self._consume(count - self._ahead)
+        self._ahead = 0
+
+    def close(self):
+        """Cancel the fills not yet started and wait for the others."""
+        for fut, _, _ in self._fills:
+            if not fut.cancel():
+                fut.result()
+        self._fills.clear()
 
 
 def _simulate_chunk(
@@ -186,17 +303,19 @@ def _simulate_chunk(
     chunk_index: int,
     m: int,
     table: _DelayTable,
+    pool,
 ):
     """Simulate one chunk of m paths in time blocks of B steps.
 
     Step k reads one normal per live path, in path order, from the chunk's
     stream.  A block reads B such rows ahead and keeps the rows up to the
     first one in which a path crosses; the normals of the rows it drops
-    are read again by the next block, which has fewer live paths.
+    are read again by the next block, which has fewer live paths.  The
+    step factors of the stream are filled ahead into a ring of slabs on
+    the helper thread of `pool` (see _NoiseRing), and a block reads at
+    most the rows left in a slab, so results are bit-identical for any
+    slab size and any block size.
     """
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([cfg.seed & _KEY_MASK, chunk_index], dtype=np.uint64))
-    )
     A = r_star + gamma
     dt = cfg.dt
     half_drift = 0.5 * cfg.drift_mu * cfg.drift_mu * dt
@@ -209,6 +328,12 @@ def _simulate_chunk(
     t_max = cfg.t_max if cfg.t_max is not None else 100.0 * gamma
     n_steps = int(math.ceil(t_max / dt))
     n_lam = lams.size
+
+    if cfg.noiseless:
+        noise = None
+    else:
+        key = np.array([cfg.seed & _KEY_MASK, chunk_index], dtype=np.uint64)
+        noise = _NoiseRing(np.random.Generator(np.random.Philox(key=key)), sig, drift, dt, pool)
 
     # compact state (alive paths only); idx maps back to output slots
     R = np.full(m, float(r_star))
@@ -225,27 +350,20 @@ def _simulate_chunk(
     disc = np.ones(n_lam)
     decay = np.exp(-lams * dt)
 
-    normals = np.empty(0)  # the stream from step k on starts at normals[pos]
-    pos = 0
     k = 0
     B = 1
     while k < n_steps and R.size:
         n = R.size
         B = min(B, n_steps - k, max(1, _BLOCK_CAP // n))
-        if cfg.noiseless:
+        if noise is None:
             E = np.full((B, 1), e_skeleton)
+            C = E + 1.0
+            C *= 0.5 * dt
         else:
-            if normals.size - pos < B * n:
-                fresh = rng.standard_normal(max(B * n, _BLOCK_CAP))
-                normals = np.concatenate((normals[pos:], fresh))
-                pos = 0
-            E = sig * normals[pos : pos + B * n].reshape(B, n)
-            E += drift
-            np.exp(E, out=E)
+            E, C = noise.rows(n, B)
+        b = E.shape[0]
         # one step: R' = e R + (dt/2)(e + 1), row j + 1 of H from row j
-        C = E + 1.0
-        C *= 0.5 * dt
-        H = np.empty((B + 1, n))
+        H = np.empty((b + 1, n))
         H[0] = R
         h = H[0]
         for e, c, h_next in zip(E, C, H[1:]):
@@ -254,7 +372,7 @@ def _simulate_chunk(
             h = h_next
         above = H[1:] >= A
         hit = above.any(axis=1)
-        J = int(hit.argmax()) + 1 if hit.any() else B
+        J = int(hit.argmax()) + 1 if hit.any() else b
 
         # D[j] holds the discount weights of step k + j
         D = np.empty((J + 1, n_lam))
@@ -267,7 +385,8 @@ def _simulate_chunk(
         # over the rows may sum pairwise)
         for s in D[:J, :, None] * g_dt[:, None, :]:
             np.add(int_g_disc, s, int_g_disc)
-        pos += J * n
+        if noise is not None:
+            noise.advance(J * n)
         k += J
         R = H[J]
         disc = D[J]
@@ -287,6 +406,8 @@ def _simulate_chunk(
             B = 2 * J
         else:
             B = 2 * B
+    if noise is not None:
+        noise.close()
 
     if R.size:
         out_r[idx] = R
@@ -300,8 +421,12 @@ def simulate_paths(r_star: float, gamma: float, config: SimConfig, lams=(0.0,)) 
 
     lams lists the discount rates for which the per-path discounted
     delay integrals are accumulated (one pass over the paths covers them
-    all); the discounted clock int_disc follows from the stop step.
+    all); the discounted clock int_disc follows from the stop step.  One
+    helper thread fills the chunks' noise ahead of the paths; it is
+    joined before this returns or raises.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if not (np.isfinite(r_star) and r_star > 0.0):
         raise ValueError("r_star must be positive and finite")
     if not (np.isfinite(gamma) and gamma > 0.0):
@@ -312,9 +437,10 @@ def simulate_paths(r_star: float, gamma: float, config: SimConfig, lams=(0.0,)) 
     if np.any(lams < 0.0) or not np.all(np.isfinite(lams)):
         raise ValueError("discount rates must be nonnegative and finite")
     table = _DelayTable(r_star, gamma)
-    parts = []
-    for chunk_index, m in enumerate(_chunk_sizes(config.n_paths, config.chunk_size)):
-        parts.append(_simulate_chunk(r_star, gamma, config, lams, chunk_index, m, table))
+    sizes = _chunk_sizes(config.n_paths, config.chunk_size)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        parts = [_simulate_chunk(r_star, gamma, config, lams, c, m, table, pool)
+                 for c, m in enumerate(sizes)]
     cols = [np.concatenate([p[j] for p in parts], axis=-1) for j in range(4)]
     return SimBatch(
         stop_time=cols[0],

@@ -4,12 +4,16 @@ The strongest checks here are deterministic: the noiseless skeleton
 alarms at exactly gamma, and rescaling (mu, dt, r*, gamma) by a power
 of two reproduces the same chain bit for bit at 4x the scale, because
 every factor in the update is scaled by an exact float operation.
-The library steps its paths in time blocks; the per-step loop below,
-reading g from a two-gather table, is the oracle it must match bit for
-bit.
+The library steps its paths in time blocks, from noise a helper thread
+fills ahead in slabs; the per-step loop below, reading g from a
+two-gather table, is the oracle it must match bit for bit at any block
+and slab size.
 """
 
+import itertools
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -35,9 +39,10 @@ from srdetect.specfun import e1_scaled, g
 R_STAR, GAMMA = 1.0707, 5.0
 
 
-def _grid_values(r_star, gamma, n_cells=1 << 17):
+def _grid_values(r_star, gamma):
     """g at the delay table's n_cells + 1 nodes on [0, A]."""
     A = r_star + gamma
+    n_cells = simulator._TABLE_CELLS
     vals = np.empty(n_cells + 1)
     vals[0] = e1_scaled(1.0 / A)
     vals[1:] = g(np.linspace(0.0, A, n_cells + 1)[1:], r_star, gamma)
@@ -240,12 +245,19 @@ def test_blocked_engine_matches_per_step_loop_bitwise(case, monkeypatch):
         assert last - second > 500 * cfg.dt
     if case == "t_max capped":
         assert 0.0 < ref[1].mean() < 1.0
-    # a block of one step, the default blocks, and blocks four times larger
-    for cap in (1, simulator._BLOCK_CAP, 1 << 16):
-        monkeypatch.setattr(simulator, "_BLOCK_CAP", cap)
-        new = _chunks(lambda *a: _simulate_chunk(*a, table), r_star, gamma, cfg, lams)
-        for name, a, b in zip(("stop_time", "stopped", "r_at_stop", "int_g_disc"), ref, new):
-            assert a.dtype == b.dtype and np.array_equal(a, b), (cap, name)
+    # slabs of one value and of seven, shorter than a row, so that rows
+    # span many slabs, and the default slabs; crossed with blocks of one
+    # step, the default blocks, and blocks four times larger.  A one-value
+    # slab costs a thread hand-off per path-step, so it runs only on the
+    # cases of a few paths.
+    slabs = (1, 7, simulator._SLAB) if cfg.n_paths <= 12 else (7, simulator._SLAB)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for slab, cap in itertools.product(slabs, (1, simulator._BLOCK_CAP, 1 << 16)):
+            monkeypatch.setattr(simulator, "_SLAB", slab)
+            monkeypatch.setattr(simulator, "_BLOCK_CAP", cap)
+            new = _chunks(lambda *a: _simulate_chunk(*a, table, pool), r_star, gamma, cfg, lams)
+            for name, a, b in zip(("stop_time", "stopped", "r_at_stop", "int_g_disc"), ref, new):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (slab, cap, name)
 
 
 def test_delay_table_matches_two_gather_formula_bitwise():
@@ -258,6 +270,66 @@ def test_delay_table_matches_two_gather_formula_bitwise():
         edges = np.array([0.0, np.nextafter(A, 0.0), A])
         for R in (interior, edges, interior.reshape(100, 100)):
             assert np.array_equal(table.lookup(R), ref(R))
+
+
+def test_helper_thread_is_joined_on_return_and_on_error(monkeypatch):
+    cfg = SimConfig(dt=1e-2, seed=2, n_paths=300, chunk_size=128)
+    start = threading.active_count()
+    simulate_paths(R_STAR, GAMMA, cfg)
+    assert threading.active_count() == start
+
+    # a block of the first chunk fails while the helper is running
+    lookup = _DelayTable.lookup
+    alive = []
+
+    def failing_lookup(self, R):
+        alive.append(threading.active_count())
+        if len(alive) == 20:
+            raise RuntimeError("lookup failed")
+        return lookup(self, R)
+
+    monkeypatch.setattr(_DelayTable, "lookup", failing_lookup)
+    with pytest.raises(RuntimeError, match="lookup failed"):
+        simulate_paths(R_STAR, GAMMA, cfg)
+    assert alive[-1] == start + 1
+    assert threading.active_count() == start
+
+
+def test_noiseless_run_starts_no_thread(monkeypatch):
+    def no_start(self):
+        raise AssertionError("a thread was started")
+
+    start = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    batch = simulate_paths(R_STAR, GAMMA, SimConfig(dt=1e-2, n_paths=5, noiseless=True))
+    assert batch.stopped.all()
+    assert threading.active_count() == start
+
+
+@pytest.mark.parametrize("cap", [64, simulator._BLOCK_CAP])
+def test_chunk_draws_at_most_twice_the_normals_it_uses(cap, monkeypatch):
+    drawn = []
+    generator = np.random.Generator
+
+    class Counting:
+        """The chunk's generator, counting the normals it draws."""
+
+        def __init__(self, bit_generator):
+            self._rng = generator(bit_generator)
+            self._i = len(drawn)
+            drawn.append(0)
+
+        def standard_normal(self, *, out):
+            drawn[self._i] += out.size
+            return self._rng.standard_normal(out=out)
+
+    monkeypatch.setattr(simulator, "_BLOCK_CAP", cap)
+    monkeypatch.setattr(simulator.np.random, "Generator", Counting)
+    cfg = SimConfig(dt=1e-3, seed=9, n_paths=30, chunk_size=1)
+    batch = simulate_paths(R_STAR, GAMMA, cfg)
+    used = np.rint(batch.stop_time / cfg.dt)
+    assert len(drawn) == cfg.n_paths
+    assert np.all(used <= drawn) and np.all(drawn <= 2 * used + cap)
 
 
 def test_power_of_two_rescaling_is_exact():
