@@ -182,6 +182,10 @@ def cmd_simulate(args) -> int:
 
     gamma = args.gamma
     g_star = g(r_star, r_star, gamma)
+    ratios = ", ".join(f"{mc_f_lambda(batch, l).variance_ratio:.3g} at lambda={l:g}"
+                       for l in lams)
+    print(f"bridge kills: {batch.killed_fraction:.2%} of paths; "
+          f"control-variate variance ratio (plain/CV): {ratios}")
     rows = []
     all_ok = True
 

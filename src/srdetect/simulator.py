@@ -11,9 +11,22 @@ One step applies the exact-in-du trapezoid update
     R' = e^du R + (dt/2) (e^du + 1),
 
 whose key property is E[e^du] = 1 before the change for any mu and dt:
-the chain then satisfies E[R_{k+1}] = E[R_k] + dt exactly, so the
-identities E[R_T] = r* + E[T] and E[T] = gamma hold without any
-discretization bias beyond threshold overshoot.
+the chain then satisfies E[R_{k+1}] = E[R_k] + dt exactly, so
+E[R_K] = r* + E[K] dt holds at the stop step K.
+
+Watching the chain only at the grid points would alarm O(sqrt(dt)) late,
+since ln R can cross ln A between two of them.  Each step therefore also
+stops a path with the probability that a Brownian bridge of variance
+mu^2 dt between the two ends of ln R crosses ln A (Gobet 2000), placed
+at mid-step; a crossing on the grid is placed at its ln-R interpolation
+point.  The stop time (K - 1 + theta) dt then carries the fraction theta
+of the last step, and what remains of the bias is O(dt).
+
+The chain's moments are exact too: E[R'^p | R] is a polynomial in R for
+each p, so for p = 1..3 and each discount rate the engine accumulates
+the martingales Z of R^p sampled every few steps, with mean exactly zero
+by optional stopping.  mc_f_lambda regresses on them as control
+variates (Henderson and Glynn 2002).
 
 Paths are simulated in fixed-size chunks, each driven by its own
 counter-based generator keyed by (seed, chunk index).  Within a chunk
@@ -31,21 +44,25 @@ threads overlap.  Each step uses the same normals and the same float
 operations, in the same order, as stepping one step at a time, so
 results are bit-identical for a given (seed, chunk_size, dt, n_paths)
 whatever the block size or the slab size, and do not depend on how
-many chunks run or in what order they are reduced.
+many chunks run or in what order they are reduced.  The bridge draws
+come from a counter-based hash of (seed, chunk, path, step), made only
+on the few steps with an end near A, so they leave the stream of
+normals as it is.
 
 The noiseless mode replaces du by its information skeleton: du = 0
 before the change (the likelihood ratio stays flat, so R_t = r* + t and
 the alarm fires at exactly gamma steps' worth of time) and
-du = +(mu^2/2) dt after it.  Note this is not the same as feeding zero
-observation increments, which gives du = -(mu^2/2) dt and drives the
-statistic to its fixed point near 1 without ever alarming.
+du = +(mu^2/2) dt after it, and it makes no bridge draws.  Note this is
+not the same as feeding zero observation increments, which gives
+du = -(mu^2/2) dt and drives the statistic to its fixed point near 1
+without ever alarming.
 """
 
 from __future__ import annotations
 
 import collections
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -97,15 +114,22 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
+    """A Monte Carlo mean and its standard error.
+
+    variance_ratio is the plain per-path variance over the variance of the
+    values averaged, the gain of any control variates (1 without them).
+    """
+
     mean: float
     std_err: float
     n_paths: int
     seed: int
+    variance_ratio: float = 1.0
 
 
 @dataclass(frozen=True)
 class MartingaleCheck:
-    """The paired difference R_T - r* - T, zero in mean, and the overshoot."""
+    """The paired difference R_K - r* - K dt, zero in mean, and the grid overshoot."""
 
     difference: McEstimate
     mean_overshoot: float
@@ -115,33 +139,52 @@ class MartingaleCheck:
 class SimBatch:
     """Vectorized per-path outputs of simulate_paths.
 
+    A path stops in step K (1-based) after the fraction stop_frac of it, at
+    stop_time = (K - 1 + stop_frac) dt; r_at_stop is the chain after step
+    K, below A when the path stopped by a bridge crossing.  A path capped
+    at the horizon has K = n_steps and stop_frac = 1.
+
     int_g_disc, summed over the steps in step order, and the property
     int_disc, summed in closed form, carry one row per requested lambda:
     row j holds the left-point sums of e^{-lams[j] t} g(R_t) dt and of
-    e^{-lams[j] t} dt over the K = stop_time/dt steps before the stop.
+    e^{-lams[j] t} dt over the steps before the stop, the last weighted by
+    stop_frac.  z[p - 1, j] holds the martingale control Z_{p, lams[j]}
+    of R^p, p = 1..3, with mean exactly zero.
     """
 
-    stop_time: np.ndarray
+    stop_step: np.ndarray
+    stop_frac: np.ndarray
     stopped: np.ndarray
     r_at_stop: np.ndarray
     int_g_disc: np.ndarray
+    z: np.ndarray
     lams: np.ndarray
     r_star: float
     gamma: float
     config: SimConfig = field(repr=False)
 
     @property
+    def stop_time(self) -> np.ndarray:
+        return (self.stop_step - 1 + self.stop_frac) * self.config.dt
+
+    @property
     def capped_fraction(self) -> float:
         return float(1.0 - np.mean(self.stopped))
 
     @property
+    def killed_fraction(self) -> float:
+        """Share of paths stopped by a bridge crossing, with the chain still below A."""
+        return float(np.mean(self.stopped & (self.r_at_stop < self.r_star + self.gamma)))
+
+    @property
     def int_disc(self) -> np.ndarray:
-        """sum_{k<K} dt e^{-lam k dt} in closed form, one row per lambda."""
+        """sum_{k<K-1} dt e^{-lam k dt} + stop_frac dt e^{-lam (K-1) dt}, one row per lambda."""
         dt = self.config.dt
-        K = np.rint(self.stop_time / dt)
+        full = self.stop_step - 1
         x = self.lams[:, None] * dt
         safe = np.where(x > 0.0, x, 1.0)
-        return np.where(x > 0.0, dt * np.expm1(-safe * K) / np.expm1(-safe), K * dt)
+        head = np.where(x > 0.0, dt * np.expm1(-safe * full) / np.expm1(-safe), full * dt)
+        return head + self.stop_frac * dt * np.exp(-x * full)
 
 
 # cells of the delay table on [0, A]
@@ -191,6 +234,127 @@ _BLOCK_CAP = 1 << 14
 # noise ring; its _N_SLABS slabs take 3 MB
 _SLAB = 1 << 16
 _N_SLABS = 3
+# the martingale controls advance every round(_Z_STRIDE / dt) steps
+_Z_STRIDE = 4e-3
+# bridge draws are made on the steps with an end at or above
+# A exp(-sqrt(_NEAR mu^2 dt)); below that the crossing probability is
+# under exp(-2 _NEAR) < 3e-20
+_NEAR = 22.5
+
+
+def _stride(dt: float) -> int:
+    return max(1, round(_Z_STRIDE / dt))
+
+
+def _moment_powers(dt: float, log_mean: float, log_var: float, stride: int) -> np.ndarray:
+    """Columns p = 1..3 of P^r for r = 0..stride, a (stride + 1, 4, 3) array.
+
+    P is the chain's one-step moment matrix, E[R'^p | R] = sum_l R^l P[l, p]
+    for p, l = 0..3.  With R' = e (R + a) + a, a = dt/2, and
+    E[e^i] = exp(i log_mean + i^2 log_var / 2),
+
+        P[l, p] = a^(p - l) sum_{i=l..p} C(p, i) C(i, l) E[e^i],
+
+    and P[l, p] = 0 for l > p, so E[R_{k+r}^p | R_k] = sum_l R_k^l P^r[l, p].
+    """
+    a = 0.5 * dt
+    ee = [math.exp(i * log_mean + 0.5 * i * i * log_var) for i in range(4)]
+    P = np.zeros((4, 4))
+    for p in range(4):
+        for l in range(p + 1):
+            s = sum(math.comb(p, i) * math.comb(i, l) * ee[i] for i in range(l, p + 1))
+            P[l, p] = a ** (p - l) * s
+    powers = np.empty((stride + 1, 4, 4))
+    powers[0] = np.eye(4)
+    for r in range(stride):
+        powers[r + 1] = powers[r] @ P
+    return powers[:, :, 1:]
+
+
+def _moments(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_l x^l c[l, p - 1] for p = 1..3 by Horner's rule, stacked on a new first axis."""
+    c = c.reshape(c.shape + (1,) * x.ndim)
+    return ((c[3] * x + c[2]) * x + c[1]) * x + c[0]
+
+
+_U64 = {n: np.uint64(n) for n in (11, 27, 30, 31, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)}
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, in place on a uint64 array."""
+    x ^= x >> _U64[30]
+    x *= _U64[0xBF58476D1CE4E5B9]
+    x ^= x >> _U64[27]
+    x *= _U64[0x94D049BB133111EB]
+    x ^= x >> _U64[31]
+    return x
+
+
+def _kill_key(seed: int, chunk_index: int) -> np.ndarray:
+    x = _mix64(np.array([seed & _KEY_MASK], dtype=np.uint64))
+    x ^= np.uint64(chunk_index)
+    return _mix64(x)
+
+
+def _kill_uniforms(key: np.ndarray, slots: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Uniforms on [2^-54, 1), a counter-based hash of (chunk key, path slot, step).
+
+    slots and steps are int64 arrays that broadcast together.  The counter
+    packs the slot and the step into 32 bits each; xor with the key and
+    the splitmix64 finalizer turn it into 53 random bits, offset by half
+    a unit so that no uniform is below 2^-54.
+    """
+    x = slots << 32
+    x = x | steps
+    x = x.view(np.uint64)
+    x ^= key
+    _mix64(x)
+    x >>= _U64[11]
+    u = x * 2.0**-53
+    u += 2.0**-54
+    return u
+
+
+def _first_stops(H, A, a_near, kill_scale, key, slots, k):
+    """The first step-row of the block H with a stop, and who stops in it, where.
+
+    Row j takes R from H[j] to H[j + 1] in step k + j.  A path stops in it
+    when it crosses A on the grid, at its ln-R interpolation point, or when
+    the kill draw of the step falls below the bridge crossing probability
+    exp(kill_scale ln(A/H[j]) ln(A/H[j + 1])), at mid-step; key None
+    draws no kills.  Draws are made in the columns that reach a_near; a
+    step with both ends below it has a probability under 3e-20, below any
+    draw, so it never stops a path.  Returns (J, columns, fractions) with
+    J - 1 the stop row, or (b, None, None) when no path of the b rows stops.
+    """
+    b = H.shape[0] - 1
+    cols = np.flatnonzero(H.max(axis=0) >= a_near)
+    if cols.size == 0:
+        return b, None, None
+    Hc = H[:, cols]
+    # l[j] = ln(A / H[j]), exact under a common power-of-two scaling of A and H
+    l = np.divide(A, Hc)
+    np.log(l, out=l)
+    if key is None:
+        stop = Hc[1:] >= A
+    else:
+        p = l[:-1] * l[1:]
+        np.maximum(p, 0.0, out=p)
+        p *= kill_scale
+        np.exp(p, out=p)
+        steps = np.arange(k, k + b)[:, None]
+        stop = _kill_uniforms(key, slots[cols], steps) < p
+    rows, at = np.nonzero(stop)
+    if rows.size == 0:
+        return b, None, None
+    row = rows[0]
+    at = at[rows == row]
+    frac = np.full(at.size, 0.5)
+    crossed = Hc[row + 1, at] >= A
+    if crossed.any():
+        la = l[row, at[crossed]]
+        frac[crossed] = la / (la - l[row + 1, at[crossed]])
+    return row + 1, cols[at], frac
 
 
 def _fill(rng, E, C, sig, drift, half_dt):
@@ -295,6 +459,31 @@ class _NoiseRing:
         self._fills.clear()
 
 
+def _add_rows(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """acc + rows[0] + rows[1] + ..., each element summed in row order.
+
+    A reduce over the rows may sum pairwise, so narrow rows go through
+    add.accumulate, which sums in order and is fast on them, and wide
+    rows through one add per row, which is faster there.
+    """
+    if acc.size > 64:
+        acc = acc + rows[0]
+        for r in rows[1:]:
+            np.add(acc, r, out=acc)
+        return acc
+    out = np.concatenate((acc[None], rows))
+    np.add.accumulate(out, axis=0, out=out)
+    return out[-1]
+
+
+def _stopped_controls(z, w, coef, stride, K, x, r_mark):
+    """The controls z of paths stopped in step K at x, with the increment of a partial stride."""
+    if K % stride == 0:
+        return z
+    dz = _moments(coef[stride - K % stride], x) - _moments(coef[stride], r_mark)
+    return z + w[:, None] * dz[:, None, :]
+
+
 def _simulate_chunk(
     r_star: float,
     gamma: float,
@@ -309,12 +498,21 @@ def _simulate_chunk(
 
     Step k reads one normal per live path, in path order, from the chunk's
     stream.  A block reads B such rows ahead and keeps the rows up to the
-    first one in which a path crosses; the normals of the rows it drops
-    are read again by the next block, which has fewer live paths.  The
-    step factors of the stream are filled ahead into a ring of slabs on
-    the helper thread of `pool` (see _NoiseRing), and a block reads at
-    most the rows left in a slab, so results are bit-identical for any
-    slab size and any block size.
+    first one in which a path stops; the normals of the rows it drops are
+    read again by the next block, which has fewer live paths.  The step
+    factors of the stream are filled ahead into a ring of slabs on the
+    helper thread of `pool` (see _NoiseRing), and a block reads at most
+    the rows left in a slab, so results are bit-identical for any slab
+    size and any block size.
+
+    The controls Z advance at the marks, the steps that are multiples of
+    the stride s, by w_j (R^p - E[R^p | R at the mark before]), with w_j
+    the discount at the end of the stride.  A path that stops in step K
+    between two marks adds w_j (E[R^p at the next mark | R_K] - E[R^p at
+    the next mark | R at the mark before]): that is the Doob martingale of
+    the next mark's R^p stopped at K, so each Z keeps mean zero exactly.
+    Z and R at the last mark are kept for the live paths, like the
+    integrals, and leave with them.
     """
     A = r_star + gamma
     dt = cfg.dt
@@ -328,27 +526,40 @@ def _simulate_chunk(
     t_max = cfg.t_max if cfg.t_max is not None else 100.0 * gamma
     n_steps = int(math.ceil(t_max / dt))
     n_lam = lams.size
+    a_near = A * math.exp(-math.sqrt(_NEAR * sig * sig))
+    kill_scale = -2.0 / (sig * sig)
+    stride = _stride(dt)
 
     if cfg.noiseless:
-        noise = None
+        noise = key = None
+        coef = _moment_powers(dt, math.log(e_skeleton), 0.0, stride)
     else:
-        key = np.array([cfg.seed & _KEY_MASK, chunk_index], dtype=np.uint64)
-        noise = _NoiseRing(np.random.Generator(np.random.Philox(key=key)), sig, drift, dt, pool)
+        philox = np.random.Philox(key=np.array([cfg.seed & _KEY_MASK, chunk_index], dtype=np.uint64))
+        noise = _NoiseRing(np.random.Generator(philox), sig, drift, dt, pool)
+        key = _kill_key(cfg.seed, chunk_index)
+        coef = _moment_powers(dt, drift, sig * sig, stride)
 
     # compact state (alive paths only); idx maps back to output slots
     R = np.full(m, float(r_star))
     idx = np.arange(m)
     int_g_disc = np.zeros((n_lam, m))
 
-    out_stop = np.full(m, n_steps * dt)
+    out_step = np.full(m, n_steps)
+    out_frac = np.ones(m)
     out_stopped = np.zeros(m, dtype=bool)
     out_r = np.empty(m)
     out_int_g_disc = np.zeros((n_lam, m))
+    # the controls, and R at the last mark
+    z = np.zeros((3, n_lam, m))
+    r_mark = np.full(m, float(r_star))
+    out_z = np.zeros((3, n_lam, m))
 
     # left-endpoint discount weights e^{-lam t} of step k, advanced by one
-    # decay factor per step
+    # decay factor per step; z_w is the discount at the next mark
     disc = np.ones(n_lam)
     decay = np.exp(-lams * dt)
+    decay_stride = np.exp(-lams * (stride * dt))
+    z_w = disc * decay_stride
 
     k = 0
     B = 1
@@ -370,9 +581,7 @@ def _simulate_chunk(
             np.multiply(e, h, h_next)
             np.add(h_next, c, h_next)
             h = h_next
-        above = H[1:] >= A
-        hit = above.any(axis=1)
-        J = int(hit.argmax()) + 1 if hit.any() else b
+        J, cols, frac = _first_stops(H, A, a_near, kill_scale, key, idx, k)
 
         # D[j] holds the discount weights of step k + j
         D = np.empty((J + 1, n_lam))
@@ -381,28 +590,48 @@ def _simulate_chunk(
         np.multiply.accumulate(D, axis=0, out=D)
         g_dt = table.lookup(H[:J])
         g_dt *= dt
-        # row by row, so each path's sum runs in step order (a reduce
-        # over the rows may sum pairwise)
-        for s in D[:J, :, None] * g_dt[:, None, :]:
-            np.add(int_g_disc, s, int_g_disc)
+        if cols is not None:
+            g_dt[J - 1, cols] *= frac
+        int_g_disc = _add_rows(int_g_disc, D[:J, :, None] * g_dt[:, None, :])
+
+        # the marks among steps k + 1 .. k + J are after rows j0, j0 + stride, ...
+        j0 = (-k - 1) % stride
+        if j0 < J:
+            at = np.arange(j0, J, stride)
+            x = H[at + 1]
+            prev = np.empty_like(x)
+            prev[0] = r_mark
+            prev[1:] = x[:-1]
+            dz = _moments(coef[0], x) - _moments(coef[stride], prev)
+            w = np.empty((at.size, n_lam))
+            w[0] = z_w
+            w[1:] = D[at[:-1] + 1] * decay_stride
+            z = _add_rows(z, w[:, None, :, None] * dz.transpose(1, 0, 2)[:, :, None, :])
+            r_mark = x[-1]
+            z_w = D[at[-1] + 1] * decay_stride
+
         if noise is not None:
             noise.advance(J * n)
         k += J
         R = H[J]
         disc = D[J]
 
-        if hit[J - 1]:
-            crossed = above[J - 1]
-            gone = idx[crossed]
-            # t + dt at the alarm step t = (k - 1) dt; k dt can round otherwise
-            out_stop[gone] = (k - 1) * dt + dt
+        if cols is not None:
+            gone = idx[cols]
+            out_step[gone] = k
+            out_frac[gone] = frac
             out_stopped[gone] = True
-            out_r[gone] = R[crossed]
-            out_int_g_disc[:, gone] = int_g_disc[:, crossed]
-            keep = ~crossed
+            out_r[gone] = R[cols]
+            out_int_g_disc[:, gone] = int_g_disc[:, cols]
+            out_z[:, :, gone] = _stopped_controls(z[:, :, cols], z_w, coef, stride, k,
+                                                  R[cols], r_mark[cols])
+            keep = np.ones(n, dtype=bool)
+            keep[cols] = False
             R = R[keep]
             idx = idx[keep]
             int_g_disc = int_g_disc[:, keep]
+            z = z[:, :, keep]
+            r_mark = r_mark[keep]
             B = 2 * J
         else:
             B = 2 * B
@@ -412,16 +641,18 @@ def _simulate_chunk(
     if R.size:
         out_r[idx] = R
         out_int_g_disc[:, idx] = int_g_disc
+        out_z[:, :, idx] = _stopped_controls(z, z_w, coef, stride, n_steps, R, r_mark)
 
-    return out_stop, out_stopped, out_r, out_int_g_disc
+    return out_step, out_frac, out_stopped, out_r, out_int_g_disc, out_z
 
 
 def simulate_paths(r_star: float, gamma: float, config: SimConfig, lams=(0.0,)) -> SimBatch:
     """Simulate config.n_paths trajectories until alarm or horizon.
 
     lams lists the discount rates for which the per-path discounted
-    delay integrals are accumulated (one pass over the paths covers them
-    all); the discounted clock int_disc follows from the stop step.  One
+    delay integrals and the martingale controls are accumulated (one pass
+    over the paths covers them all); the discounted clock int_disc
+    follows from the stop step and its fraction.  One
     helper thread fills the chunks' noise ahead of the paths; it is
     joined before this returns or raises.
     """
@@ -441,17 +672,8 @@ def simulate_paths(r_star: float, gamma: float, config: SimConfig, lams=(0.0,)) 
     with ThreadPoolExecutor(max_workers=1) as pool:
         parts = [_simulate_chunk(r_star, gamma, config, lams, c, m, table, pool)
                  for c, m in enumerate(sizes)]
-    cols = [np.concatenate([p[j] for p in parts], axis=-1) for j in range(4)]
-    return SimBatch(
-        stop_time=cols[0],
-        stopped=cols[1],
-        r_at_stop=cols[2],
-        int_g_disc=cols[3],
-        lams=lams,
-        r_star=r_star,
-        gamma=gamma,
-        config=config,
-    )
+    cols = [np.concatenate([p[j] for p in parts], axis=-1) for j in range(6)]
+    return SimBatch(*cols, lams=lams, r_star=r_star, gamma=gamma, config=config)
 
 
 def _estimate(values: np.ndarray, seed: int) -> McEstimate:
@@ -494,20 +716,45 @@ def mc_mean_stop_time(batch: SimBatch) -> McEstimate:
 
 
 def mc_martingale_check(batch: SimBatch) -> MartingaleCheck:
-    """Check E[R_stop] = r* + E[stop] on a pre-change batch.
+    """Check E[R_K] = r* + E[K] dt on a pre-change batch.
 
-    The identity holds exactly for the discrete chain even for capped
-    paths (optional stopping at a bounded time), so no cap guard is
-    needed; the paired difference should be zero within noise.
+    K is the stop step, and R_K the chain after it, also for a path that a
+    bridge crossing stopped below A.  The identity holds exactly for the
+    discrete chain even for capped paths (optional stopping at a bounded
+    time), so no cap guard is needed; the paired difference should be zero
+    within noise.  mean_overshoot is the mean of R_K - A over the paths
+    that crossed A on the grid.
     """
     _require_pre_change(batch, "mc_martingale_check")
-    difference = _estimate(batch.r_at_stop - batch.r_star - batch.stop_time, batch.config.seed)
-    A = batch.r_star + batch.gamma
-    if batch.stopped.any():
-        mean_overshoot = float(np.mean(batch.r_at_stop[batch.stopped] - A))
-    else:
-        mean_overshoot = float("nan")
+    dt = batch.config.dt
+    difference = _estimate(batch.r_at_stop - batch.r_star - batch.stop_step * dt,
+                           batch.config.seed)
+    over = batch.r_at_stop[batch.stopped] - (batch.r_star + batch.gamma)
+    over = over[over >= 0.0]
+    mean_overshoot = float(np.mean(over)) if over.size else float("nan")
     return MartingaleCheck(difference=difference, mean_overshoot=mean_overshoot)
+
+
+def _cross_fit(values: np.ndarray, controls: np.ndarray) -> np.ndarray:
+    """values - controls.T @ beta, with beta fitted on the other half of the paths.
+
+    The controls (one row each) have mean zero exactly.  beta is the least
+    squares slope of values on the controls, fitted on the even-index paths
+    and applied to the odd ones and the other way round, so it is
+    independent of the paths it corrects and the mean stays unbiased.
+    Batches too small to fit are returned as they are.
+    """
+    n = values.size
+    if n < 4 * (controls.shape[0] + 1):
+        return values
+    X = controls.T
+    out = np.empty(n)
+    for fit, use in ((slice(0, None, 2), slice(1, None, 2)),
+                     (slice(1, None, 2), slice(0, None, 2))):
+        x, y = X[fit], values[fit]
+        beta = np.linalg.lstsq(x - x.mean(axis=0), y - y.mean(), rcond=None)[0]
+        out[use] = values[use] - X[use] @ beta
+    return out
 
 
 def mc_f_lambda(batch: SimBatch, lam: float) -> McEstimate:
@@ -515,13 +762,19 @@ def mc_f_lambda(batch: SimBatch, lam: float) -> McEstimate:
 
     This is the Monte Carlo twin of the solved perturbation value
     f_lam(r*): zero at lam = 0 by calibration, conjectured negative for
-    lam > 0.  The batch must carry the discount rate lam.
+    lam > 0.  The batch must carry the discount rate lam.  The estimate is
+    the cross-fitted control-variate mean on the martingales Z_{p, lam},
+    p = 1..3 (see _cross_fit); its standard error is that of the corrected
+    values, and variance_ratio is the gain over the plain mean.
     """
     _require_pre_change(batch, "mc_f_lambda")
     j = _lam_row(batch, lam)
     g_star = g(batch.r_star, batch.r_star, batch.gamma)
     values = batch.int_g_disc[j] - g_star * batch.int_disc[j]
-    return _estimate(values, batch.config.seed)
+    fitted = _cross_fit(values, batch.z[:, j])
+    var = float(np.var(fitted))
+    ratio = float(np.var(values)) / var if var > 0.0 else 1.0
+    return replace(_estimate(fitted, batch.config.seed), variance_ratio=ratio)
 
 
 def mc_delay_ratio(batch: SimBatch, r: float, lam: float) -> McEstimate:

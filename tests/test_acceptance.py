@@ -7,7 +7,10 @@ perturbation value across discount rates, the differential refinement
 order, and the Monte Carlo agreement checks.
 
 Heavy fixtures (lambda sweeps, 1e5-path batches) are module scoped and
-shared across criteria; expect a few minutes of total runtime.
+shared across criteria; expect a few minutes of total runtime.  The
+Monte Carlo batches stop paths with the bridge correction, so E[T] and
+the martingale identity are checked at 3 standard errors with no
+allowance for threshold overshoot.
 """
 
 import logging
@@ -111,8 +114,11 @@ def batch_post(cal5):
 
 @pytest.fixture(scope="module")
 def batch_f(cal5):
+    # the control variates leave a standard error about 5x below the plain
+    # one of 100k paths at dt = 1.25e-4, and the bridge-corrected stop
+    # leaves an O(dt) bias well inside it
     res, _ = cal5
-    cfg = SimConfig(dt=1.25e-4, seed=2024, n_paths=100_000)
+    cfg = SimConfig(dt=2.5e-4, seed=2024, n_paths=20_000)
     return simulate_paths(res.r_star, 5.0, cfg, lams=(0.5, 2.0, 8.0))
 
 
@@ -203,7 +209,7 @@ def test_criterion_07_mean_time_to_alarm(batch5_pre, batch20_pre):
     parts, ok = [], True
     for gamma, batch in ((5.0, batch5_pre), (20.0, batch20_pre)):
         est = mc_mean_stop_time(batch)
-        tol = max(3.0 * est.std_err, 0.05 * gamma)
+        tol = 3.0 * est.std_err
         dev = abs(est.mean - gamma)
         ok = ok and dev <= tol
         parts.append(f"gamma={gamma:g}: E[T]={est.mean:.4f} dev={dev:.3f} tol={tol:.3f}")
@@ -212,11 +218,10 @@ def test_criterion_07_mean_time_to_alarm(batch5_pre, batch20_pre):
 
 def test_criterion_08_martingale_identity(batch5_pre):
     chk = mc_martingale_check(batch5_pre)
-    bound = 3.0 * chk.difference.std_err + chk.mean_overshoot
+    bound = 3.0 * chk.difference.std_err
     ok = abs(chk.difference.mean) <= bound
-    report(8, "E[R_T] = r* + E[T] within overshoot", ok,
-           f"diff={chk.difference.mean:.4f} bound={bound:.4f} "
-           f"(overshoot={chk.mean_overshoot:.4f})")
+    report(8, "E[R_K] = r* + E[K] dt at the stop step", ok,
+           f"diff={chk.difference.mean:.4f} bound={bound:.4f}")
 
 
 def test_criterion_09_equalized_delay(batch_eq, batch_post, cal5):
@@ -245,7 +250,8 @@ def test_criterion_10_two_routes_agree(batch_f, fred_vals):
         est = mc_f_lambda(batch_f, lam)
         z = (fred_vals[lam] - est.mean) / est.std_err
         ok = ok and abs(z) <= 2.576  # 99% two-sided
-        parts.append(f"lam={lam:g}: solve={fred_vals[lam]:.5f} mc={est.mean:.5f} z={z:+.2f}")
+        parts.append(f"lam={lam:g}: solve={fred_vals[lam]:.5f} mc={est.mean:.5f} "
+                     f"se={est.std_err:.1e} z={z:+.2f}")
     report(10, "solved f_lambda(r*) inside MC 99% CI", ok, "; ".join(parts))
 
 

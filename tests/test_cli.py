@@ -103,7 +103,11 @@ def test_simulate_small_run_passes(tmp_path, capsys):
     assert names[:3] == ["stoptime", "martingale", "flambda(lambda=0)"]
     assert sum(n.startswith("equalizer") for n in names) == 3
     assert all(r[5] == "1" for r in rows)
-    assert "FAIL" not in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "FAIL" not in stdout
+    # the share of bridge kills and the control-variate gain at each rate
+    assert "bridge kills:" in stdout
+    assert "variance ratio (plain/CV):" in stdout and "at lambda=0" in stdout
 
 
 def test_simulate_flags_miscalibrated_r_star(tmp_path, capsys):

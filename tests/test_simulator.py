@@ -37,6 +37,7 @@ from srdetect.simulator import (
 from srdetect.specfun import e1_scaled, g
 
 R_STAR, GAMMA = 1.0707, 5.0
+_kill_uniforms_real = simulator._kill_uniforms
 
 
 def _grid_values(r_star, gamma):
@@ -64,7 +65,14 @@ def _two_gather_lookup(vals, A):
 
 
 def _reference_chunk(r_star, gamma, cfg, lams, chunk_index, m, lookup):
-    """One step of every live path at a time, one draw of R.size normals per step."""
+    """One step of every live path at a time, one draw of R.size normals per step.
+
+    A step stops a path when it crosses A on the grid, at the ln-R
+    interpolation point, or when the bridge draw of a step with an end in
+    the near band falls below the crossing probability, at mid-step; the
+    last g term is weighted by the fraction of the step used.  The
+    controls advance at every stride-th step and at the stop.
+    """
     rng = np.random.Generator(
         np.random.Philox(key=np.array([cfg.seed & ((1 << 64) - 1), chunk_index], dtype=np.uint64))
     )
@@ -78,56 +86,101 @@ def _reference_chunk(r_star, gamma, cfg, lams, chunk_index, m, lookup):
     t_max = cfg.t_max if cfg.t_max is not None else 100.0 * gamma
     n_steps = int(math.ceil(t_max / dt))
     n_lam = lams.size
+    a_near = A * math.exp(-math.sqrt(simulator._NEAR * sig * sig))
+    kill_scale = -2.0 / (sig * sig)
+    stride = simulator._stride(dt)
+    if cfg.noiseless:
+        coef = simulator._moment_powers(dt, math.log(e_skeleton), 0.0, stride)
+    else:
+        coef = simulator._moment_powers(dt, drift, sig * sig, stride)
+        key = simulator._kill_key(cfg.seed, chunk_index)
+
+    def moments(c, x):
+        return np.stack([((c[3, p] * x + c[2, p]) * x + c[1, p]) * x + c[0, p] for p in range(3)])
 
     R = np.full(m, float(r_star))
     idx = np.arange(m)
     int_g_disc = np.zeros((n_lam, m))
+    z = np.zeros((3, n_lam, m))  # in slot order
+    r_mark = np.full(m, float(r_star))  # in slot order
 
-    out_stop = np.full(m, n_steps * dt)
+    out_step = np.full(m, n_steps)
+    out_frac = np.ones(m)
     out_stopped = np.zeros(m, dtype=bool)
     out_r = np.empty(m)
     out_int_g_disc = np.zeros((n_lam, m))
 
     disc = np.ones(n_lam)
     decay = np.exp(-lams * dt)
+    decay_stride = np.exp(-lams * (stride * dt))
+    z_w = disc * decay_stride
 
     for k in range(n_steps):
-        t = k * dt
         g_dt = lookup(R) * dt
-        int_g_disc += disc[:, None] * g_dt[None, :]
         if cfg.noiseless:
             e = e_skeleton
         else:
             e = np.exp(drift + sig * rng.standard_normal(R.size))
-        R = e * R + (0.5 * dt) * (e + 1.0)
+        R_next = e * R + (0.5 * dt) * (e + 1.0)
+        disc_next = disc * decay
 
-        crossed = R >= A
-        if crossed.any():
-            gone = idx[crossed]
-            out_stop[gone] = t + dt
+        la = np.log(A / R)
+        lb = np.log(A / R_next)
+        crossed = R_next >= A
+        stop = crossed.copy()
+        if not cfg.noiseless:
+            near = np.flatnonzero((R >= a_near) | (R_next >= a_near))
+            p = np.exp(np.maximum(la[near] * lb[near], 0.0) * kill_scale)
+            u = simulator._kill_uniforms(key, idx[near], np.int64(k))
+            stop[near] |= u < p
+        frac = np.where(crossed, la / np.where(crossed, la - lb, 1.0), 0.5)
+        g_dt[stop] *= frac[stop]
+        int_g_disc += disc[:, None] * g_dt[None, :]
+
+        if (k + 1) % stride == 0:
+            dz = moments(coef[0], R_next) - moments(coef[stride], r_mark[idx])
+            z[:, :, idx] += z_w[:, None] * dz[:, None, :]
+            r_mark[idx] = R_next
+            z_w = disc_next * decay_stride
+        R = R_next
+        if stop.any():
+            gone = idx[stop]
+            out_step[gone] = k + 1
+            out_frac[gone] = frac[stop]
             out_stopped[gone] = True
-            out_r[gone] = R[crossed]
-            out_int_g_disc[:, gone] = int_g_disc[:, crossed]
-            keep = ~crossed
+            out_r[gone] = R[stop]
+            out_int_g_disc[:, gone] = int_g_disc[:, stop]
+            if (k + 1) % stride:
+                rest = stride - (k + 1) % stride
+                dz = moments(coef[rest], R[stop]) - moments(coef[stride], r_mark[gone])
+                z[:, :, gone] += z_w[:, None] * dz[:, None, :]
+            keep = ~stop
             R = R[keep]
             idx = idx[keep]
             int_g_disc = int_g_disc[:, keep]
             if R.size == 0:
                 break
-        disc = disc * decay
+        disc = disc_next
 
     if R.size:
         out_r[idx] = R
         out_int_g_disc[:, idx] = int_g_disc
+        if n_steps % stride:
+            rest = stride - n_steps % stride
+            dz = moments(coef[rest], R) - moments(coef[stride], r_mark[idx])
+            z[:, :, idx] += z_w[:, None] * dz[:, None, :]
 
-    return out_stop, out_stopped, out_r, out_int_g_disc
+    return out_step, out_frac, out_stopped, out_r, out_int_g_disc, z
+
+
+_OUTPUTS = ("stop_step", "stop_frac", "stopped", "r_at_stop", "int_g_disc", "z")
 
 
 def _chunks(simulate, r_star, gamma, cfg, lams):
-    """The four per-path outputs of every chunk, concatenated in chunk order."""
+    """The per-path outputs of every chunk, concatenated in chunk order."""
     parts = [simulate(r_star, gamma, cfg, lams, c, m)
              for c, m in enumerate(_chunk_sizes(cfg.n_paths, cfg.chunk_size))]
-    return [np.concatenate([p[j] for p in parts], axis=-1) for j in range(4)]
+    return [np.concatenate([p[j] for p in parts], axis=-1) for j in range(len(_OUTPUTS))]
 
 
 def after_one_record(R, du, dt):
@@ -244,7 +297,17 @@ def test_blocked_engine_matches_per_step_loop_bitwise(case, monkeypatch):
         last, second = np.sort(ref[0])[-2:][::-1]
         assert last - second > 500 * cfg.dt
     if case == "t_max capped":
-        assert 0.0 < ref[1].mean() < 1.0
+        assert 0.0 < ref[2].mean() < 1.0
+    step, frac, stopped, r_at_stop = ref[:4]
+    killed = stopped & (r_at_stop < r_star + gamma)
+    if cfg.noiseless:
+        assert not killed.any()
+    elif cfg.n_paths >= 200:
+        # bridge kills at mid-step, grid crossings inside the step, and
+        # stops between two marks of the controls
+        assert killed.any() and np.all(frac[killed] == 0.5)
+        assert np.any(stopped & ~killed & (frac < 1.0))
+        assert np.any(stopped & (step % simulator._stride(cfg.dt) != 0))
     # slabs of one value and of seven, shorter than a row, so that rows
     # span many slabs, and the default slabs; crossed with blocks of one
     # step, the default blocks, and blocks four times larger.  A one-value
@@ -256,8 +319,124 @@ def test_blocked_engine_matches_per_step_loop_bitwise(case, monkeypatch):
             monkeypatch.setattr(simulator, "_SLAB", slab)
             monkeypatch.setattr(simulator, "_BLOCK_CAP", cap)
             new = _chunks(lambda *a: _simulate_chunk(*a, table, pool), r_star, gamma, cfg, lams)
-            for name, a, b in zip(("stop_time", "stopped", "r_at_stop", "int_g_disc"), ref, new):
+            for name, a, b in zip(_OUTPUTS, ref, new):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (slab, cap, name)
+
+
+def _quadrature_moments(R, steps, dt, log_mean, log_var, nodes=30):
+    """E[R_steps^p | R_0 = R], p = 1..3, by nested Gauss-Hermite quadrature over the du's."""
+    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w = w / w.sum()
+    e = np.exp(log_mean + math.sqrt(log_var) * x)
+    vals, weights = np.array([R]), np.array([1.0])
+    for _ in range(steps):
+        vals = (np.outer(vals, e) + 0.5 * dt * (e + 1.0)).ravel()
+        weights = np.outer(weights, w).ravel()
+    return np.array([weights @ vals**p for p in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("regime_sign", [-1.0, 1.0])
+def test_moment_matrix_powers_are_the_chain_moments(regime_sign):
+    dt, sig2 = 1e-3, 2e-3
+    log_mean = regime_sign * 0.5 * sig2
+    stride = simulator._stride(dt)
+    table = simulator._moment_powers(dt, log_mean, sig2, stride)
+    assert table.shape == (stride + 1, 4, 3)
+    for steps in (1, 2):
+        for R in (0.3, 2.0, 6.0):
+            powers = R ** np.arange(4)
+            assert np.allclose(powers @ table[steps],
+                               _quadrature_moments(R, steps, dt, log_mean, sig2),
+                               rtol=1e-12, atol=0.0)
+    # the stride's matrix is the stride-fold product of the one-step matrix
+    P = np.column_stack([[1.0, 0.0, 0.0, 0.0], table[1]])
+    assert np.allclose(table[stride], np.linalg.matrix_power(P, stride)[:, 1:],
+                       rtol=1e-13, atol=0.0)
+    assert np.array_equal(table[0], np.eye(4)[:, 1:])
+    if regime_sign < 0.0:
+        # E[R_{k+r} | R_k] = R_k + r dt before the change
+        assert np.allclose(table[stride][:2, 0], [stride * dt, 1.0], rtol=1e-13)
+
+
+@pytest.mark.parametrize("stride_time", [simulator._Z_STRIDE, 1e-9])
+def test_first_control_at_rate_zero_is_the_martingale_difference(stride_time, monkeypatch):
+    # with a stride of one step, and with the default one, Z_{1,0}
+    # telescopes to R_K - r* - K dt, including the paths capped at t_max
+    monkeypatch.setattr(simulator, "_Z_STRIDE", stride_time)
+    cfg = SimConfig(dt=1e-3, seed=5, n_paths=2000, t_max=1.5)
+    batch = simulate_paths(0.7868, 2.0, cfg, lams=(0.0, 1.0))
+    assert 0.0 < batch.capped_fraction < 1.0 and batch.killed_fraction > 0.0
+    diff = batch.r_at_stop - batch.r_star - batch.stop_step * cfg.dt
+    assert np.allclose(batch.z[0, 0], diff, rtol=0.0, atol=1e-11)
+
+
+@pytest.fixture(scope="module")
+def cv_batch():
+    cfg = SimConfig(dt=1e-3, seed=21, n_paths=20_000)
+    return simulate_paths(R_STAR, GAMMA, cfg, lams=(0.0, 0.5, 8.0))
+
+
+def test_controls_have_mean_zero(cv_batch):
+    z = cv_batch.z
+    assert z.shape == (3, 3, 20_000)
+    mean = z.mean(axis=2)
+    se = z.std(axis=2, ddof=1) / math.sqrt(z.shape[2])
+    assert np.all(np.abs(mean) <= 4.0 * se), mean / se
+
+
+def test_control_variate_estimate_agrees_with_plain_mean(cv_batch):
+    g_star = g(R_STAR, R_STAR, GAMMA)
+    for j, lam in enumerate(cv_batch.lams):
+        plain = cv_batch.int_g_disc[j] - g_star * cv_batch.int_disc[j]
+        plain_se = np.std(plain, ddof=1) / math.sqrt(plain.size)
+        est = mc_f_lambda(cv_batch, lam)
+        assert abs(est.mean - np.mean(plain)) <= 4.0 * plain_se
+        # the controls carry most of the variance
+        assert est.std_err < plain_se / 3.0
+        assert est.variance_ratio == pytest.approx((plain_se / est.std_err) ** 2, rel=1e-3)
+
+
+def test_kill_draws_follow_the_bridge_formula(monkeypatch):
+    A, dt = 6.0, 1e-3
+    sig2 = 2.0 * dt
+    a_near = A * math.exp(-math.sqrt(simulator._NEAR * sig2))
+    rng = np.random.default_rng(0)
+    lo = rng.uniform(0.8 * a_near, A, 2000)
+    hi = rng.uniform(0.8 * a_near, A, 2000)
+    H = np.stack([lo, hi])
+    p = np.exp(-2.0 * np.log(A / lo) * np.log(A / hi) / sig2)
+    in_band = (lo >= a_near) | (hi >= a_near)
+    assert 0.5 < in_band.mean() < 0.9 and np.max(p[~in_band]) < 3e-20
+    key = simulator._kill_key(3, 0)
+    for q in (0.3, 2.0**-54):
+        # every draw equal to q: a step stops when q < p, at mid-step
+        monkeypatch.setattr(simulator, "_kill_uniforms",
+                            lambda key, slots, steps: np.full(np.broadcast(slots, steps).shape, q))
+        J, cols, frac = simulator._first_stops(H, A, a_near, -2.0 / sig2, key, np.arange(2000), 0)
+        assert J == 1 and np.all(frac == 0.5)
+        assert np.array_equal(cols, np.flatnonzero(in_band & (q < p)))
+    # no draw is below 2^-54, so a step with both ends under a_near
+    # (probability under 3e-20) never stops a path
+    slots, steps = np.arange(1000), np.arange(200)[:, None]
+    u = _kill_uniforms_real(key, slots, steps)
+    assert u.shape == (200, 1000) and u.min() >= 2.0**-54 and u.max() < 1.0
+
+
+def test_kill_uniforms_are_uniform_and_independent_across_steps():
+    key = simulator._kill_key(7, 2)
+    u = simulator._kill_uniforms(key, np.arange(2000), np.arange(100)[:, None])
+    n = u.size
+    assert abs(u.mean() - 0.5) <= 4.0 * math.sqrt(1.0 / 12.0 / n)
+    counts = np.histogram(u, bins=20, range=(0.0, 1.0))[0]
+    chi2 = np.sum((counts - n / 20) ** 2 / (n / 20))
+    assert chi2 < 50.0  # 19 degrees of freedom; p ~ 1e-4
+    # consecutive steps of a path, and neighbouring paths, are uncorrelated
+    for a, b in ((u[1:], u[:-1]), (u[:, 1:], u[:, :-1])):
+        r = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+        assert abs(r) < 4.0 / math.sqrt(a.size)
+    # another chunk or seed gives other draws
+    other = simulator._kill_uniforms(simulator._kill_key(7, 3), np.arange(2000), np.int64(0))
+    assert not np.any(other == u[0])
 
 
 def test_delay_table_matches_two_gather_formula_bitwise():
@@ -300,9 +479,13 @@ def test_noiseless_run_starts_no_thread(monkeypatch):
         raise AssertionError("a thread was started")
 
     start = threading.active_count()
+    def no_draw(*args):
+        raise AssertionError("a bridge kill was drawn")
+
     monkeypatch.setattr(threading.Thread, "start", no_start)
+    monkeypatch.setattr(simulator, "_kill_uniforms", no_draw)
     batch = simulate_paths(R_STAR, GAMMA, SimConfig(dt=1e-2, n_paths=5, noiseless=True))
-    assert batch.stopped.all()
+    assert batch.stopped.all() and batch.killed_fraction == 0.0
     assert threading.active_count() == start
 
 
@@ -327,7 +510,7 @@ def test_chunk_draws_at_most_twice_the_normals_it_uses(cap, monkeypatch):
     monkeypatch.setattr(simulator.np.random, "Generator", Counting)
     cfg = SimConfig(dt=1e-3, seed=9, n_paths=30, chunk_size=1)
     batch = simulate_paths(R_STAR, GAMMA, cfg)
-    used = np.rint(batch.stop_time / cfg.dt)
+    used = batch.stop_step
     assert len(drawn) == cfg.n_paths
     assert np.all(used <= drawn) and np.all(drawn <= 2 * used + cap)
 
@@ -388,15 +571,19 @@ def test_discounted_integrals_ordered_and_consistent():
 
 
 def test_int_disc_closed_form_matches_direct_sum():
-    # t_max = 1 caps a share of the paths, whose K is the horizon step
+    # t_max = 1 caps a share of the paths, whose K is the horizon step;
+    # the others stop inside step K, after the fraction stop_frac of it
     cfg = SimConfig(dt=1e-3, seed=5, n_paths=1000, t_max=1.0)
     lams = (0.0, 0.5, 4.0, 50.0)
     batch = simulate_paths(0.7868, 2.0, cfg, lams=lams)
     assert 0.2 < batch.capped_fraction < 1.0
-    K = np.rint(batch.stop_time / cfg.dt).astype(int)
+    K, frac = batch.stop_step, batch.stop_frac
+    assert np.all(frac[~batch.stopped] == 1.0)
+    assert np.all((0.0 < frac) & (frac <= 1.0)) and np.mean(frac[batch.stopped] < 1.0) > 0.5
+    assert np.array_equal(batch.stop_time, (K - 1 + frac) * cfg.dt)
     for j, lam in enumerate(lams):
         terms = cfg.dt * np.exp(-lam * cfg.dt * np.arange(K.max()))
-        direct = np.concatenate([[0.0], np.cumsum(terms)])[K]
+        direct = np.concatenate([[0.0], np.cumsum(terms)])[K - 1] + frac * terms[K - 1]
         assert np.allclose(batch.int_disc[j], direct, rtol=1e-11, atol=0.0)
 
 
@@ -425,16 +612,31 @@ def test_estimators_require_matching_batch():
         mc_delay_ratio(batch, -1.0, 0.0)
 
 
+def _cross_fit_reference(values, controls):
+    """Least squares on each half of the paths, applied to the other half."""
+    out = np.empty_like(values)
+    for fit, use in ((0, 1), (1, 0)):
+        X = np.column_stack([np.ones(values[fit::2].size), controls[:, fit::2].T])
+        beta = np.linalg.lstsq(X, values[fit::2], rcond=None)[0][1:]
+        out[use::2] = values[use::2] - controls[:, use::2].T @ beta
+    return out
+
+
 def test_estimators_read_r_star_gamma_and_seed_from_batch():
     cfg = SimConfig(dt=1e-3, seed=1, n_paths=300)
     batch = simulate_paths(R_STAR, GAMMA, cfg, lams=(0.0,))
     est = mc_f_lambda(batch, 0.0)
     assert est.seed == 1 and est.n_paths == 300
     g_star = g(R_STAR, R_STAR, GAMMA)
-    assert est.mean == np.mean(batch.int_g_disc[0] - g_star * batch.int_disc[0])
+    plain = batch.int_g_disc[0] - g_star * batch.int_disc[0]
+    # the cross-fitted control-variate mean of the plain values
+    fitted = _cross_fit_reference(plain, batch.z[:, 0])
+    assert est.mean == pytest.approx(np.mean(fitted), rel=1e-9, abs=1e-12)
+    assert est.std_err == pytest.approx(np.std(fitted, ddof=1) / math.sqrt(300), rel=1e-9)
+    assert est.variance_ratio == pytest.approx(np.var(plain) / np.var(fitted), rel=1e-9)
     assert mc_delay_ratio(batch, 0.0, 0.0).seed == 1
     assert mc_martingale_check(batch).difference.mean == np.mean(
-        batch.r_at_stop - R_STAR - batch.stop_time
+        batch.r_at_stop - R_STAR - batch.stop_step * cfg.dt
     )
 
 
