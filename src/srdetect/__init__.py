@@ -24,7 +24,6 @@ from srdetect.fredholm import (
 from srdetect.quadrature import Grid, make_grid
 from srdetect.simulator import (
     HorizonCapError,
-    MartingaleCheck,
     McEstimate,
     SimBatch,
     SimConfig,
@@ -45,7 +44,6 @@ __all__ = [
     "HorizonCapError",
     "KernelMatrix",
     "LambdaSweep",
-    "MartingaleCheck",
     "McEstimate",
     "SimBatch",
     "SimConfig",

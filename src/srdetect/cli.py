@@ -182,8 +182,8 @@ def cmd_simulate(args) -> int:
 
     gamma = args.gamma
     g_star = g(r_star, r_star, gamma)
-    ratios = ", ".join(f"{mc_f_lambda(batch, l).variance_ratio:.3g} at lambda={l:g}"
-                       for l in lams)
+    f_ests = {l: mc_f_lambda(batch, l) for l in lams}
+    ratios = ", ".join(f"{est.variance_ratio:.3g} at lambda={l:g}" for l, est in f_ests.items())
     print(f"bridge kills: {batch.killed_fraction:.2%} of paths; "
           f"control-variate variance ratio (plain/CV): {ratios}")
     rows = []
@@ -202,10 +202,10 @@ def cmd_simulate(args) -> int:
             tol = max(3.0 * est.std_err, 0.05 * gamma)  # overshoot allowance
             record("stoptime", est, gamma, abs(est.mean - gamma) <= tol)
         if "martingale" in checks:
-            est = mc_martingale_check(batch).difference
+            est = mc_martingale_check(batch)
             record("martingale", est, 0.0, abs(est.mean) <= 4.0 * est.std_err)
         if "flambda" in checks:
-            est = mc_f_lambda(batch, lam)
+            est = f_ests[lam]
             if lam == 0.0:
                 ok = abs(est.mean) <= 4.0 * est.std_err
             else:

@@ -128,14 +128,6 @@ class McEstimate:
 
 
 @dataclass(frozen=True)
-class MartingaleCheck:
-    """The paired difference R_K - r* - K dt, zero in mean, and the grid overshoot."""
-
-    difference: McEstimate
-    mean_overshoot: float
-
-
-@dataclass(frozen=True)
 class SimBatch:
     """Vectorized per-path outputs of simulate_paths.
 
@@ -715,24 +707,17 @@ def mc_mean_stop_time(batch: SimBatch) -> McEstimate:
     return _estimate(batch.stop_time, batch.config.seed)
 
 
-def mc_martingale_check(batch: SimBatch) -> MartingaleCheck:
-    """Check E[R_K] = r* + E[K] dt on a pre-change batch.
+def mc_martingale_check(batch: SimBatch) -> McEstimate:
+    """Estimate E[R_K - r* - K dt], zero by E[R_K] = r* + E[K] dt, on a pre-change batch.
 
     K is the stop step, and R_K the chain after it, also for a path that a
     bridge crossing stopped below A.  The identity holds exactly for the
     discrete chain even for capped paths (optional stopping at a bounded
-    time), so no cap guard is needed; the paired difference should be zero
-    within noise.  mean_overshoot is the mean of R_K - A over the paths
-    that crossed A on the grid.
+    time), so no cap guard is needed; the mean should be zero within noise.
     """
     _require_pre_change(batch, "mc_martingale_check")
-    dt = batch.config.dt
-    difference = _estimate(batch.r_at_stop - batch.r_star - batch.stop_step * dt,
-                           batch.config.seed)
-    over = batch.r_at_stop[batch.stopped] - (batch.r_star + batch.gamma)
-    over = over[over >= 0.0]
-    mean_overshoot = float(np.mean(over)) if over.size else float("nan")
-    return MartingaleCheck(difference=difference, mean_overshoot=mean_overshoot)
+    return _estimate(batch.r_at_stop - batch.r_star - batch.stop_step * batch.config.dt,
+                     batch.config.seed)
 
 
 def _cross_fit(values: np.ndarray, controls: np.ndarray) -> np.ndarray:

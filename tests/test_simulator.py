@@ -295,7 +295,7 @@ def test_blocked_engine_matches_per_step_loop_bitwise(case, monkeypatch):
     if case == "one rate, one live path":
         # the last path runs alone for a long stretch of steps
         last, second = np.sort(ref[0])[-2:][::-1]
-        assert last - second > 500 * cfg.dt
+        assert last - second > 500
     if case == "t_max capped":
         assert 0.0 < ref[2].mean() < 1.0
     step, frac, stopped, r_at_stop = ref[:4]
@@ -529,9 +529,8 @@ def test_power_of_two_rescaling_is_exact():
 
 def test_martingale_identity_within_noise():
     cfg = SimConfig(dt=1e-3, seed=5, n_paths=4000)
-    chk = mc_martingale_check(simulate_paths(0.7868, 2.0, cfg))
-    assert abs(chk.difference.mean) <= 4.0 * chk.difference.std_err
-    assert chk.mean_overshoot > 0.0
+    est = mc_martingale_check(simulate_paths(0.7868, 2.0, cfg))
+    assert abs(est.mean) <= 4.0 * est.std_err
 
 
 def test_martingale_identity_survives_truncation():
@@ -539,8 +538,8 @@ def test_martingale_identity_survives_truncation():
     cfg = SimConfig(dt=1e-3, seed=5, n_paths=5000, t_max=1.0)
     batch = simulate_paths(0.7868, 2.0, cfg)
     assert batch.capped_fraction > 0.2
-    chk = mc_martingale_check(batch)
-    assert abs(chk.difference.mean) <= 4.0 * chk.difference.std_err
+    est = mc_martingale_check(batch)
+    assert abs(est.mean) <= 4.0 * est.std_err
 
 
 def test_horizon_cap_guard():
@@ -635,7 +634,7 @@ def test_estimators_read_r_star_gamma_and_seed_from_batch():
     assert est.std_err == pytest.approx(np.std(fitted, ddof=1) / math.sqrt(300), rel=1e-9)
     assert est.variance_ratio == pytest.approx(np.var(plain) / np.var(fitted), rel=1e-9)
     assert mc_delay_ratio(batch, 0.0, 0.0).seed == 1
-    assert mc_martingale_check(batch).difference.mean == np.mean(
+    assert mc_martingale_check(batch).mean == np.mean(
         batch.r_at_stop - R_STAR - batch.stop_step * cfg.dt
     )
 
