@@ -439,6 +439,17 @@ def test_kill_uniforms_are_uniform_and_independent_across_steps():
     assert not np.any(other == u[0])
 
 
+@pytest.mark.parametrize("cols", [[], [0], [5], [11], [0, 11], [2, 3, 7], list(range(0, 12, 2))
+                                  + [11, 3, 5, 7], list(range(12))])
+def test_without_drops_the_columns_and_keeps_the_order(cols):
+    cols = np.array(sorted(cols), dtype=np.intp)
+    keep = np.ones(12, dtype=bool)
+    keep[cols] = False
+    for a in (np.arange(12.0), np.arange(12), np.arange(72.0).reshape(3, 2, 12)):
+        out = simulator._without(a, cols)
+        assert out.dtype == a.dtype and np.array_equal(out, a[..., keep])
+
+
 def test_delay_table_matches_two_gather_formula_bitwise():
     for r_star, gamma in ((R_STAR, GAMMA), (1.524, 20.0)):
         A = r_star + gamma
