@@ -316,6 +316,40 @@ def _kill_uniforms(key: np.ndarray, slots: np.ndarray, steps: np.ndarray) -> np.
     return u
 
 
+def _kill_uniform(key: int, slot: int, step: int) -> float:
+    """One value of _kill_uniforms, to the bit, in Python integers."""
+    x = (slot << 32 | step) ^ key
+    x ^= x >> 30
+    x = x * 0xBF58476D1CE4E5B9 & _KEY_MASK
+    x ^= x >> 27
+    x = x * 0x94D049BB133111EB & _KEY_MASK
+    x ^= x >> 31
+    return (x >> 11) * 2.0**-53 + 2.0**-54
+
+
+# kill-draw tables of at most this many entries are hashed one entry at a
+# time; a numpy call costs more than a scalar hash on so few
+_SCALAR_DRAWS = 32
+
+
+def _kill_mask(key, slots, k, p):
+    """The (b, c) mask of kill draws u(slots[i], k + j) < p[j, i].
+
+    No draw is below 2^-54, so only the entries with p above it can stop
+    and only they are hashed in the scalar loop.
+    """
+    if p.size > _SCALAR_DRAWS:
+        return _kill_uniforms(key, slots, np.arange(k, k + p.shape[0])[:, None]) < p
+    stop = np.zeros(p.shape, dtype=bool)
+    key = int(key[0])
+    slots = slots.tolist()
+    for j, row in enumerate(p.tolist(), start=int(k)):
+        for i, pi in enumerate(row):
+            if pi > 2.0**-54 and _kill_uniform(key, slots[i], j) < pi:
+                stop[j - k, i] = True
+    return stop
+
+
 def _first_stops(H, A, a_near, kill_scale, key, slots, k):
     """The first step-row of the block H with a stop, and who stops in it, where.
 
@@ -343,8 +377,7 @@ def _first_stops(H, A, a_near, kill_scale, key, slots, k):
         np.maximum(p, 0.0, out=p)
         p *= kill_scale
         np.exp(p, out=p)
-        steps = np.arange(k, k + b)[:, None]
-        stop = _kill_uniforms(key, slots[cols], steps) < p
+        stop = _kill_mask(key, slots[cols], k, p)
     rows, at = np.nonzero(stop)
     if rows.size == 0:
         return b, None, None

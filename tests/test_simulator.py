@@ -439,6 +439,28 @@ def test_kill_uniforms_are_uniform_and_independent_across_steps():
     assert not np.any(other == u[0])
 
 
+def test_scalar_kill_draws_match_the_array_hash(monkeypatch):
+    key = simulator._kill_key(5, 1)
+    slots = np.array([0, 1, 7, 4095, 2**31 - 1, 12, 3, 999, 40, 41])
+    steps = np.array([0, 1, 12345, 2**32 - 1])
+    u = _kill_uniforms_real(key, slots, steps[:, None])
+    for j, step in enumerate(steps.tolist()):
+        for i, slot in enumerate(slots.tolist()):
+            assert simulator._kill_uniform(int(key[0]), slot, step) == u[j, i]
+    # the scalar loop and the array path give the same mask, also where
+    # p equals the draw (no stop) or is at most 2^-54 (never hashed)
+    k = 500
+    u = _kill_uniforms_real(key, slots, np.arange(k, k + 3)[:, None])
+    p = u * np.array([0.5, 1.0, 1.5, 1.0, 2.0, 0.9, 1.1, 1.0, 3.0, 0.2])
+    p[0, :3] = [2.0**-54, 0.0, 1.0]
+    assert p.size <= simulator._SCALAR_DRAWS
+    scalar = simulator._kill_mask(key, slots, k, p)
+    monkeypatch.setattr(simulator, "_SCALAR_DRAWS", 0)
+    array = simulator._kill_mask(key, slots, k, p)
+    assert np.array_equal(scalar, array) and np.array_equal(array, u < p)
+    assert 0 < array.sum() < array.size
+
+
 @pytest.mark.parametrize("cols", [[], [0], [5], [11], [0, 11], [2, 3, 7], list(range(0, 12, 2))
                                   + [11, 3, 5, 7], list(range(12))])
 def test_without_drops_the_columns_and_keeps_the_order(cols):
