@@ -266,7 +266,13 @@ def _moment_powers(dt: float, log_mean: float, log_var: float, stride: int) -> n
 def _moments(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_l x^l c[l, p - 1] for p = 1..3 by Horner's rule, stacked on a new first axis."""
     c = c.reshape(c.shape + (1,) * x.ndim)
-    return ((c[3] * x + c[2]) * x + c[1]) * x + c[0]
+    out = c[3] * x
+    out += c[2]
+    out *= x
+    out += c[1]
+    out *= x
+    out += c[0]
+    return out
 
 
 def _powers(x: np.ndarray) -> np.ndarray:
@@ -493,21 +499,20 @@ class _NoiseRing:
         self._fills.clear()
 
 
-def _add_rows(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """acc + rows[0] + rows[1] + ..., each element summed in row order.
+def _add_rows(acc: np.ndarray, rows: np.ndarray):
+    """Add rows[0], rows[1], ... into acc in place, each element summed in row order.
 
     A reduce over the rows may sum pairwise, so narrow rows go through
     add.accumulate, which sums in order and is fast on them, and wide
     rows through one add per row, which is faster there.
     """
     if acc.size > 64:
-        acc = acc + rows[0]
-        for r in rows[1:]:
+        for r in rows:
             np.add(acc, r, out=acc)
-        return acc
+        return
     out = np.concatenate((acc[None], rows))
     np.add.accumulate(out, axis=0, out=out)
-    return out[-1]
+    acc[...] = out[-1]
 
 
 def _without(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -640,7 +645,7 @@ def _simulate_chunk(
         g_dt *= dt
         if cols is not None:
             g_dt[J - 1, cols] *= frac
-        int_g_disc = _add_rows(int_g_disc, D[:J, :, None] * g_dt[:, None, :])
+        _add_rows(int_g_disc, D[:J, :, None] * g_dt[:, None, :])
 
         # the marks among steps k + 1 .. k + J are after rows j0, j0 + stride, ...
         j0 = (-k - 1) % stride
@@ -655,7 +660,7 @@ def _simulate_chunk(
             w = np.empty((at.size, n_lam))
             w[0] = z_w
             w[1:] = D[at[:-1] + 1] * decay_stride
-            z = _add_rows(z, w[:, None, :, None] * dz.transpose(1, 0, 2)[:, :, None, :])
+            _add_rows(z, w[:, None, :, None] * dz.transpose(1, 0, 2)[:, :, None, :])
             r_mark = x[-1]
             z_w = D[at[-1] + 1] * decay_stride
 
