@@ -338,22 +338,31 @@ def _kill_uniform(key: int, slot: int, step: int) -> float:
 _SCALAR_DRAWS = 32
 
 
-def _kill_mask(key, slots, k, p):
-    """The (b, c) mask of kill draws u(slots[i], k + j) < p[j, i].
+def _first_row(stop):
+    """The first row of the mask stop with a True in it, and its columns; or (None, None)."""
+    rows, at = np.nonzero(stop)
+    if rows.size == 0:
+        return None, None
+    return rows[0], at[rows == rows[0]]
 
-    No draw is below 2^-54, so only the entries with p above it can stop
-    and only they are hashed in the scalar loop.
+
+def _first_kills(key, slots, k, p):
+    """The first row j with kill draws u(slots[i], k + j) < p[j, i], and those i.
+
+    Returns (j, columns), or (None, None) when no draw is below its p.  No
+    draw is below 2^-54, so in the scalar loop only the entries with p
+    above it are hashed, a row at a time up to the first with a kill.
     """
     if p.size > _SCALAR_DRAWS:
-        return _kill_uniforms(key, slots, np.arange(k, k + p.shape[0])[:, None]) < p
-    stop = np.zeros(p.shape, dtype=bool)
+        return _first_row(_kill_uniforms(key, slots, np.arange(k, k + p.shape[0])[:, None]) < p)
     key = int(key[0])
     slots = slots.tolist()
     for j, row in enumerate(p.tolist(), start=int(k)):
-        for i, pi in enumerate(row):
-            if pi > 2.0**-54 and _kill_uniform(key, slots[i], j) < pi:
-                stop[j - k, i] = True
-    return stop
+        at = [i for i, pi in enumerate(row)
+              if pi > 2.0**-54 and _kill_uniform(key, slots[i], j) < pi]
+        if at:
+            return j - k, np.array(at)
+    return None, None
 
 
 def _first_stops(H, A, a_near, kill_scale, key, slots, k):
@@ -369,7 +378,7 @@ def _first_stops(H, A, a_near, kill_scale, key, slots, k):
     J - 1 the stop row, or (b, None, None) when no path of the b rows stops.
     """
     b = H.shape[0] - 1
-    cols = np.flatnonzero(H.max(axis=0) >= a_near)
+    cols = np.flatnonzero((H >= a_near).any(axis=0))
     if cols.size == 0:
         return b, None, None
     Hc = H[:, cols]
@@ -377,18 +386,15 @@ def _first_stops(H, A, a_near, kill_scale, key, slots, k):
     l = np.divide(A, Hc)
     np.log(l, out=l)
     if key is None:
-        stop = Hc[1:] >= A
+        row, at = _first_row(Hc[1:] >= A)
     else:
         p = l[:-1] * l[1:]
         np.maximum(p, 0.0, out=p)
         p *= kill_scale
         np.exp(p, out=p)
-        stop = _kill_mask(key, slots[cols], k, p)
-    rows, at = np.nonzero(stop)
-    if rows.size == 0:
+        row, at = _first_kills(key, slots[cols], k, p)
+    if row is None:
         return b, None, None
-    row = rows[0]
-    at = at[rows == row]
     frac = np.full(at.size, 0.5)
     crossed = Hc[row + 1, at] >= A
     if crossed.any():

@@ -447,18 +447,30 @@ def test_scalar_kill_draws_match_the_array_hash(monkeypatch):
     for j, step in enumerate(steps.tolist()):
         for i, slot in enumerate(slots.tolist()):
             assert simulator._kill_uniform(int(key[0]), slot, step) == u[j, i]
-    # the scalar loop and the array path give the same mask, also where
-    # p equals the draw (no stop) or is at most 2^-54 (never hashed)
+    # the scalar loop and the array path find the same first row with a
+    # kill, also where p equals the draw (no kill) or is at most 2^-54
+    # (never hashed)
     k = 500
     u = _kill_uniforms_real(key, slots, np.arange(k, k + 3)[:, None])
     p = u * np.array([0.5, 1.0, 1.5, 1.0, 2.0, 0.9, 1.1, 1.0, 3.0, 0.2])
-    p[0, :3] = [2.0**-54, 0.0, 1.0]
+    p[:, :3] = [2.0**-54, 0.0, 1.0]
     assert p.size <= simulator._SCALAR_DRAWS
-    scalar = simulator._kill_mask(key, slots, k, p)
-    monkeypatch.setattr(simulator, "_SCALAR_DRAWS", 0)
-    array = simulator._kill_mask(key, slots, k, p)
-    assert np.array_equal(scalar, array) and np.array_equal(array, u < p)
-    assert 0 < array.sum() < array.size
+    for first in range(4):
+        q = p.copy()
+        q[:first] = 0.0
+        want = np.nonzero((u < q).any(axis=1))[0]
+        scalar = simulator._first_kills(key, slots, np.int64(k), q)
+        monkeypatch.setattr(simulator, "_SCALAR_DRAWS", 0)
+        array = simulator._first_kills(key, slots, np.int64(k), q)
+        monkeypatch.undo()
+        if first == 3:
+            assert scalar == array == (None, None)
+            continue
+        assert scalar[0] == array[0] == want[0] == first
+        assert np.array_equal(scalar[1], array[1])
+        assert np.array_equal(array[1], np.flatnonzero(u[first] < q[first]))
+        # p = 1 always kills; p = 2^-54, p = 0 and p = u never do
+        assert 2 in array[1] and not {0, 1, 3} & set(array[1].tolist())
 
 
 @pytest.mark.parametrize("cols", [[], [0], [5], [11], [0, 11], [2, 3, 7], list(range(0, 12, 2))
