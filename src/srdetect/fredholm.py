@@ -64,7 +64,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from srdetect.calibration import f0_at
 from srdetect.quadrature import Grid, diff_weights
@@ -97,6 +96,8 @@ class KernelMatrix:
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Matrix-vector product P f in O(n)."""
+        from scipy.linalg import lapack
+
         a, diag, v, t, u = self.P
         n = a.size
         if f.shape != (n,):
@@ -104,7 +105,7 @@ class KernelMatrix:
         # Q_{i+1} - t_{i+1} Q_i = u_i f_i is a unit lower-bidiagonal solve.
         band = np.vstack([np.ones(n), np.append(-t[1:], 0.0)])
         rhs = np.concatenate([[0.0], u[:-1] * f[:-1]])
-        q, _ = scipy.linalg.lapack.dtbtrs(band, rhs[:, None], uplo="L")
+        q, _ = lapack.dtbtrs(band, rhs[:, None], uplo="L")
         upper = np.zeros(n)
         upper[:-1] = np.cumsum((v * f)[:0:-1])[::-1]
         return a * q[:, 0] + diag * f + upper
@@ -189,6 +190,9 @@ def solve_f_lambda(kernel: KernelMatrix, f0: np.ndarray, lam: float) -> np.ndarr
         raise ValueError("f0 length does not match kernel size")
     if lam == 0.0:
         return f0.copy()
+    # imported here: scipy.linalg is most of the package import's time,
+    # which commands that solve nothing never need
+    from scipy.linalg import lapack
 
     ab = np.zeros((2 * _KL + _KU + 1, 3 * n))
 
@@ -213,7 +217,7 @@ def solve_f_lambda(kernel: KernelMatrix, f0: np.ndarray, lam: float) -> np.ndarr
     rhs = np.zeros((3 * n, 1))
     rhs[fi, 0] = f0
 
-    lub, _, x, info = scipy.linalg.lapack.dgbsv(_KL, _KU, ab, rhs)
+    lub, _, x, info = lapack.dgbsv(_KL, _KU, ab, rhs)
     if info < 0:
         raise ValueError(f"dgbsv rejected argument {-info}")
     u_min = np.min(np.abs(lub[_KL + _KU]))

@@ -23,10 +23,11 @@ point.  The stop time (K - 1 + theta) dt then carries the fraction theta
 of the last step, and what remains of the bias is O(dt).
 
 The chain's moments are exact too: E[R'^p | R] is a polynomial in R for
-each p, so for p = 1..3 and each discount rate the engine accumulates
-the martingales Z of R^p sampled every few steps, with mean exactly zero
-by optional stopping.  mc_f_lambda regresses on them as control
-variates (Henderson and Glynn 2002).
+each p, so for p = 1..6 (_DEGREE) and each discount rate the engine
+accumulates the martingales Z of R^p sampled every few steps, with mean
+exactly zero by optional stopping.  They cost work only at those marks
+and at the stops, never per path-step.  mc_f_lambda regresses on them as
+control variates (Henderson and Glynn 2002).
 
 Paths are simulated in fixed-size chunks, each driven by its own
 counter-based generator keyed by (seed, chunk index).  Within a chunk
@@ -141,7 +142,7 @@ class SimBatch:
     row j holds the left-point sums of e^{-lams[j] t} g(R_t) dt and of
     e^{-lams[j] t} dt over the steps before the stop, the last weighted by
     stop_frac.  z[p - 1, j] holds the martingale control Z_{p, lams[j]}
-    of R^p, p = 1..3, with mean exactly zero.
+    of R^p, p = 1.._DEGREE, with mean exactly zero.
     """
 
     stop_step: np.ndarray
@@ -228,6 +229,8 @@ _SLAB = 1 << 16
 _N_SLABS = 3
 # the martingale controls advance every round(_Z_STRIDE / dt) steps
 _Z_STRIDE = 4e-3
+# the controls are the martingales of R^p for p = 1.._DEGREE
+_DEGREE = 6
 # bridge draws are made on the steps with an end at or above
 # A exp(-sqrt(_NEAR mu^2 dt)); below that the crossing probability is
 # under exp(-2 _NEAR) < 3e-20
@@ -239,48 +242,55 @@ def _stride(dt: float) -> int:
 
 
 def _moment_powers(dt: float, log_mean: float, log_var: float, stride: int) -> np.ndarray:
-    """Columns p = 1..3 of P^r for r = 0..stride, a (stride + 1, 4, 3) array.
+    """Columns p = 1.._DEGREE of P^r for r = 0..stride, a (stride + 1, d + 1, d) array.
 
     P is the chain's one-step moment matrix, E[R'^p | R] = sum_l R^l P[l, p]
-    for p, l = 0..3.  With R' = e (R + a) + a, a = dt/2, and
+    for p, l = 0..d, d = _DEGREE.  With R' = e (R + a) + a, a = dt/2, and
     E[e^i] = exp(i log_mean + i^2 log_var / 2),
 
         P[l, p] = a^(p - l) sum_{i=l..p} C(p, i) C(i, l) E[e^i],
 
     and P[l, p] = 0 for l > p, so E[R_{k+r}^p | R_k] = sum_l R_k^l P^r[l, p].
     """
+    d = _DEGREE
     a = 0.5 * dt
-    ee = [math.exp(i * log_mean + 0.5 * i * i * log_var) for i in range(4)]
-    P = np.zeros((4, 4))
-    for p in range(4):
+    ee = [math.exp(i * log_mean + 0.5 * i * i * log_var) for i in range(d + 1)]
+    P = np.zeros((d + 1, d + 1))
+    for p in range(d + 1):
         for l in range(p + 1):
             s = sum(math.comb(p, i) * math.comb(i, l) * ee[i] for i in range(l, p + 1))
             P[l, p] = a ** (p - l) * s
-    powers = np.empty((stride + 1, 4, 4))
-    powers[0] = np.eye(4)
+    powers = np.empty((stride + 1, d + 1, d + 1))
+    powers[0] = np.eye(d + 1)
     for r in range(stride):
         powers[r + 1] = powers[r] @ P
     return powers[:, :, 1:]
 
 
 def _moments(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_l x^l c[l, p - 1] for p = 1..3 by Horner's rule, stacked on a new first axis."""
+    """sum_l x^l c[l, p - 1] for p = 1..d by Horner's rule, stacked on a new first axis.
+
+    c is upper triangular, like the columns of _moment_powers, so row
+    p - 1 starts from its leading coefficient c[p, p - 1]; the rule run
+    from c[d] would only add exact zeros before it, to the same bits.
+    """
+    d = c.shape[1]
     c = c.reshape(c.shape + (1,) * x.ndim)
-    out = c[3] * x
-    out += c[2]
-    out *= x
-    out += c[1]
-    out *= x
-    out += c[0]
+    out = np.empty((d,) + x.shape)
+    out[...] = c[np.arange(1, d + 1), np.arange(d)]
+    for l in range(d - 1, -1, -1):
+        rows = out[l:]
+        rows *= x
+        rows += c[l, l:]
     return out
 
 
 def _powers(x: np.ndarray) -> np.ndarray:
-    """x, x^2 and x^3 stacked on a new first axis: _moments of the identity, to the bit."""
-    out = np.empty((3,) + x.shape)
+    """x, x^2, ..., x^d stacked on a new first axis: _moments of the identity, to the bit."""
+    out = np.empty((_DEGREE,) + x.shape)
     out[0] = x
-    np.multiply(x, x, out=out[1])
-    np.multiply(out[1], x, out=out[2])
+    for prev, nxt in zip(out, out[1:]):
+        np.multiply(prev, x, out=nxt)
     return out
 
 
@@ -535,12 +545,20 @@ def _without(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.concatenate([a[..., i + 1 : j] for i, j in zip(edges, edges[1:])], axis=-1)
 
 
-def _stopped_controls(z, w, coef, stride, K, x, r_mark):
-    """The controls z of paths stopped in step K at x, with the increment of a partial stride."""
-    if K % stride == 0:
-        return z
-    dz = _moments(coef[stride - K % stride], x) - _moments(coef[stride], r_mark)
-    return z + w[:, None] * dz[:, None, :]
+def _finish_controls(z, K, x, r_mark, w, coef, stride):
+    """Add to the controls z of paths stopped in step K at x the increment of a partial stride.
+
+    r_mark is R at a path's last mark and w[:, i] the discount at its next
+    mark.  Off a mark, a path adds w (E[R^p at the next mark | x] -
+    E[R^p at the next mark | r_mark]), with the float operations it would
+    take alone, so its bits do not depend on the paths done with it.
+    """
+    rest = stride - K % stride
+    for r in np.unique(rest[rest < stride]):
+        at = np.flatnonzero(rest == r)
+        dz = _moments(coef[r], x[at])
+        dz -= _moments(coef[stride], r_mark[at])
+        z[:, :, at] += w[:, at] * dz[:, None, :]
 
 
 def _simulate_chunk(
@@ -571,7 +589,8 @@ def _simulate_chunk(
     the next mark | R at the mark before]): that is the Doob martingale of
     the next mark's R^p stopped at K, so each Z keeps mean zero exactly.
     Z and R at the last mark are kept for the live paths, like the
-    integrals, and leave with them.
+    integrals, and leave with them; the partial strides of the paths that
+    left are added at the end of the chunk, in one pass (_finish_controls).
     """
     A = r_star + gamma
     dt = cfg.dt
@@ -609,9 +628,12 @@ def _simulate_chunk(
     out_r = np.empty(m)
     out_int_g_disc = np.zeros((n_lam, m))
     # the controls, and R at the last mark
-    z = np.zeros((3, n_lam, m))
+    z = np.zeros((_DEGREE, n_lam, m))
     r_mark = np.full(m, float(r_star))
-    out_z = np.zeros((3, n_lam, m))
+    out_z = np.zeros((_DEGREE, n_lam, m))
+    # R at the last mark and the discount at the next one, of the paths that left
+    out_mark = np.empty(m)
+    out_w = np.empty((n_lam, m))
 
     # left-endpoint discount weights e^{-lam t} of step k, advanced by one
     # decay factor per step; z_w is the discount at the next mark
@@ -683,8 +705,9 @@ def _simulate_chunk(
             out_stopped[gone] = True
             out_r[gone] = R[cols]
             out_int_g_disc[:, gone] = int_g_disc[:, cols]
-            out_z[:, :, gone] = _stopped_controls(z[:, :, cols], z_w, coef, stride, k,
-                                                  R[cols], r_mark[cols])
+            out_z[:, :, gone] = z[:, :, cols]
+            out_mark[gone] = r_mark[cols]
+            out_w[:, gone] = z_w[:, None]
             R = _without(R, cols)
             idx = _without(idx, cols)
             int_g_disc = _without(int_g_disc, cols)
@@ -699,7 +722,10 @@ def _simulate_chunk(
     if R.size:
         out_r[idx] = R
         out_int_g_disc[:, idx] = int_g_disc
-        out_z[:, :, idx] = _stopped_controls(z, z_w, coef, stride, n_steps, R, r_mark)
+        out_z[:, :, idx] = z
+        out_mark[idx] = r_mark
+        out_w[:, idx] = z_w[:, None]
+    _finish_controls(out_z, out_step, out_r, out_mark, out_w, coef, stride)
 
     return out_step, out_frac, out_stopped, out_r, out_int_g_disc, out_z
 
@@ -793,6 +819,9 @@ def _cross_fit(values: np.ndarray, controls: np.ndarray) -> np.ndarray:
     squares slope of values on the controls, fitted on the even-index paths
     and applied to the odd ones and the other way round, so it is
     independent of the paths it corrects and the mean stays unbiased.
+    The powers R^p span many orders of magnitude, so each centred control
+    is scaled to unit RMS before the fit, which leaves the fitted values
+    the same but keeps the least-squares problem well conditioned.
     Batches too small to fit are returned as they are.
     """
     n = values.size
@@ -803,7 +832,11 @@ def _cross_fit(values: np.ndarray, controls: np.ndarray) -> np.ndarray:
     for fit, use in ((slice(0, None, 2), slice(1, None, 2)),
                      (slice(1, None, 2), slice(0, None, 2))):
         x, y = X[fit], values[fit]
-        beta = np.linalg.lstsq(x - x.mean(axis=0), y - y.mean(), rcond=None)[0]
+        x = x - x.mean(axis=0)
+        rms = np.sqrt(np.mean(x * x, axis=0))
+        # a control constant over the paths (a noiseless batch) is all zero
+        rms[rms == 0.0] = 1.0
+        beta = np.linalg.lstsq(x / rms, y - y.mean(), rcond=None)[0] / rms
         out[use] = values[use] - X[use] @ beta
     return out
 
@@ -815,7 +848,7 @@ def mc_f_lambda(batch: SimBatch, lam: float) -> McEstimate:
     f_lam(r*): zero at lam = 0 by calibration, conjectured negative for
     lam > 0.  The batch must carry the discount rate lam.  The estimate is
     the cross-fitted control-variate mean on the martingales Z_{p, lam},
-    p = 1..3 (see _cross_fit); its standard error is that of the corrected
+    p = 1..6 (see _cross_fit); its standard error is that of the corrected
     values, and variance_ratio is the gain over the plain mean.
     """
     _require_pre_change(batch, "mc_f_lambda")

@@ -114,9 +114,10 @@ def batch_post(cal5):
 
 @pytest.fixture(scope="module")
 def batch_f(cal5):
-    # the control variates leave a standard error about 5x below the plain
-    # one of 100k paths at dt = 1.25e-4, and the bridge-corrected stop
-    # leaves an O(dt) bias well inside it
+    # the degree-6 controls leave a standard error 51-73x below the plain
+    # one of these paths (2.8e-5, 8.6e-6 and 1.5e-6 at the three rates);
+    # the O(dt) bias of the bridge-corrected stop is 1.5-2 of them, and
+    # a Richardson step in dt would remove it
     res, _ = cal5
     cfg = SimConfig(dt=2.5e-4, seed=2024, n_paths=20_000)
     return simulate_paths(res.r_star, 5.0, cfg, lams=(0.5, 2.0, 8.0))

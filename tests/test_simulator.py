@@ -14,6 +14,7 @@ import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,6 +90,7 @@ def _reference_chunk(r_star, gamma, cfg, lams, chunk_index, m, lookup):
     a_near = A * math.exp(-math.sqrt(simulator._NEAR * sig * sig))
     kill_scale = -2.0 / (sig * sig)
     stride = simulator._stride(dt)
+    degree = simulator._DEGREE
     if cfg.noiseless:
         coef = simulator._moment_powers(dt, math.log(e_skeleton), 0.0, stride)
     else:
@@ -96,12 +98,20 @@ def _reference_chunk(r_star, gamma, cfg, lams, chunk_index, m, lookup):
         key = simulator._kill_key(cfg.seed, chunk_index)
 
     def moments(c, x):
-        return np.stack([((c[3, p] * x + c[2, p]) * x + c[1, p]) * x + c[0, p] for p in range(3)])
+        # Horner's rule from c[degree] on every row; the engine starts each
+        # row at its leading coefficient and must give the same bits
+        rows = []
+        for p in range(degree):
+            acc = c[degree, p] * x
+            for l in range(degree - 1, 0, -1):
+                acc = (acc + c[l, p]) * x
+            rows.append(acc + c[0, p])
+        return np.stack(rows)
 
     R = np.full(m, float(r_star))
     idx = np.arange(m)
     int_g_disc = np.zeros((n_lam, m))
-    z = np.zeros((3, n_lam, m))  # in slot order
+    z = np.zeros((degree, n_lam, m))  # in slot order
     r_mark = np.full(m, float(r_star))  # in slot order
 
     out_step = np.full(m, n_steps)
@@ -324,7 +334,7 @@ def test_blocked_engine_matches_per_step_loop_bitwise(case, monkeypatch):
 
 
 def _quadrature_moments(R, steps, dt, log_mean, log_var, nodes=30):
-    """E[R_steps^p | R_0 = R], p = 1..3, by nested Gauss-Hermite quadrature over the du's."""
+    """E[R_steps^p | R_0 = R], p = 1..d, by nested Gauss-Hermite quadrature over the du's."""
     x, w = np.polynomial.hermite_e.hermegauss(nodes)
     w = w / w.sum()
     e = np.exp(log_mean + math.sqrt(log_var) * x)
@@ -332,7 +342,7 @@ def _quadrature_moments(R, steps, dt, log_mean, log_var, nodes=30):
     for _ in range(steps):
         vals = (np.outer(vals, e) + 0.5 * dt * (e + 1.0)).ravel()
         weights = np.outer(weights, w).ravel()
-    return np.array([weights @ vals**p for p in (1, 2, 3)])
+    return np.array([weights @ vals**p for p in range(1, simulator._DEGREE + 1)])
 
 
 @pytest.mark.parametrize("regime_sign", [-1.0, 1.0])
@@ -340,19 +350,20 @@ def test_moment_matrix_powers_are_the_chain_moments(regime_sign):
     dt, sig2 = 1e-3, 2e-3
     log_mean = regime_sign * 0.5 * sig2
     stride = simulator._stride(dt)
+    d = simulator._DEGREE
     table = simulator._moment_powers(dt, log_mean, sig2, stride)
-    assert table.shape == (stride + 1, 4, 3)
+    assert d == 6 and table.shape == (stride + 1, d + 1, d)
     for steps in (1, 2):
         for R in (0.3, 2.0, 6.0):
-            powers = R ** np.arange(4)
+            powers = R ** np.arange(d + 1)
             assert np.allclose(powers @ table[steps],
                                _quadrature_moments(R, steps, dt, log_mean, sig2),
                                rtol=1e-12, atol=0.0)
     # the stride's matrix is the stride-fold product of the one-step matrix
-    P = np.column_stack([[1.0, 0.0, 0.0, 0.0], table[1]])
+    P = np.column_stack([np.eye(d + 1)[:, 0], table[1]])
     assert np.allclose(table[stride], np.linalg.matrix_power(P, stride)[:, 1:],
                        rtol=1e-13, atol=0.0)
-    assert np.array_equal(table[0], np.eye(4)[:, 1:])
+    assert np.array_equal(table[0], np.eye(d + 1)[:, 1:])
     if regime_sign < 0.0:
         # E[R_{k+r} | R_k] = R_k + r dt before the change
         assert np.allclose(table[stride][:2, 0], [stride * dt, 1.0], rtol=1e-13)
@@ -378,7 +389,7 @@ def cv_batch():
 
 def test_controls_have_mean_zero(cv_batch):
     z = cv_batch.z
-    assert z.shape == (3, 3, 20_000)
+    assert z.shape == (6, 3, 20_000)
     mean = z.mean(axis=2)
     se = z.std(axis=2, ddof=1) / math.sqrt(z.shape[2])
     assert np.all(np.abs(mean) <= 4.0 * se), mean / se
@@ -391,9 +402,22 @@ def test_control_variate_estimate_agrees_with_plain_mean(cv_batch):
         plain_se = np.std(plain, ddof=1) / math.sqrt(plain.size)
         est = mc_f_lambda(cv_batch, lam)
         assert abs(est.mean - np.mean(plain)) <= 4.0 * plain_se
-        # the controls carry most of the variance
-        assert est.std_err < plain_se / 3.0
+        # the controls carry nearly all of the variance
+        assert est.std_err < plain_se / 25.0
         assert est.variance_ratio == pytest.approx((plain_se / est.std_err) ** 2, rel=1e-3)
+
+
+def test_control_variate_estimate_ignores_the_scale_of_a_control(cv_batch):
+    # the fit scales each centred control to unit RMS, so one control taken
+    # 1e6 times larger leaves the estimate as it is
+    for p in (0, simulator._DEGREE - 1):
+        z = cv_batch.z.copy()
+        z[p] *= 1e6
+        scaled = replace(cv_batch, z=z)
+        for lam in cv_batch.lams:
+            est, est_scaled = mc_f_lambda(cv_batch, lam), mc_f_lambda(scaled, lam)
+            assert est_scaled.mean == pytest.approx(est.mean, rel=1e-9, abs=0.0), (p, lam)
+            assert est_scaled.std_err == pytest.approx(est.std_err, rel=1e-9, abs=0.0), (p, lam)
 
 
 def test_kill_draws_follow_the_bridge_formula(monkeypatch):
