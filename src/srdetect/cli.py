@@ -12,10 +12,10 @@ Exit codes: 0 success, 2 bad arguments or calibration failure (in
 simulate also a horizon that caps paths), 3 sign violation in verify, 4
 failed statistical check in simulate, 5 missing or malformed detect
 input.  detect resolves the head start before it opens its input, so a
-bad --gamma or --r-star exits 2; it then reads one row at a time and
-stops at the alarm, so only rows up to the alarm can exit 5.  Output
-files are CSV; they land in the location named by --out or, by default,
-under $SRDETECT_OUT or the working directory.
+bad --gamma or --r-star exits 2; it then reads its input in blocks of
+rows and still stops at the alarm, so only rows up to the alarm can
+exit 5.  Output files are CSV; they land in the location named by --out
+or, by default, under $SRDETECT_OUT or the working directory.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ _PRESETS = {
 
 _CHECK_NAMES = ("stoptime", "martingale", "flambda", "equalizer")
 
+_BLOCK_LINES = 4096  # detect input lines per np.loadtxt call
+
 
 def _out_dir(explicit: str | None) -> Path:
     base = explicit if explicit is not None else os.environ.get("SRDETECT_OUT", ".")
@@ -86,7 +88,7 @@ def cmd_calibrate(args) -> int:
         [[res.gamma, res.r_star, res.residual, res.iterations]],
     )
     print(f"gamma={res.gamma:g}: r_star={res.r_star:.6f} "
-          f"(|f0|={abs(res.residual):.2e}, {res.iterations} Brent iterations) -> {out}")
+          f"(|f0|={abs(res.residual):.2e}, {res.iterations} Newton evaluations) -> {out}")
     return 0
 
 
@@ -226,20 +228,21 @@ def cmd_simulate(args) -> int:
 
 
 def _read_increments(path: Path):
-    """Yield (dt, dxi) records from a CSV file, one row at a time.
+    """Yield (dt, dxi) records from a CSV file, read in blocks of rows.
 
     A first row naming dxi is a header that picks the dt column, or a t
     column of strictly increasing time stamps; without one the columns
     are (dt, dxi).  Blank rows are skipped, and errors name the physical
-    line of the file.
+    line of the file.  np.loadtxt parses _BLOCK_LINES lines at a time; a
+    block it rejects, or whose stamps do not increase, goes row by row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = ((reader.line_num, r) for r in reader if any(cell.strip() for cell in r))
-        first = next(rows, None)
+        first = next((r for r in reader if any(cell.strip() for cell in r)), None)
         if first is None:
             return
-        header = [c.strip().lower() for c in first[1]]
+        header = [c.strip().lower() for c in first]
+        offset = reader.line_num
         if "dxi" in header:
             if "dt" in header:
                 i_t, cumulative = header.index("dt"), False
@@ -248,26 +251,43 @@ def _read_increments(path: Path):
             else:
                 raise ValueError("header must name a dt or t column next to dxi")
             i_x = header.index("dxi")
-        else:
-            i_t, i_x, cumulative = 0, 1, False
-            rows = itertools.chain([first], rows)
-        prev_t = 0.0
-        for lineno, row in rows:
-            if len(row) <= max(i_t, i_x):
-                raise ValueError(f"line {lineno}: expected at least {max(i_t, i_x) + 1} columns")
+        else:  # the first row is data: read it with the rest
+            i_t, i_x, cumulative, offset = 0, 1, False, 0
+            fh.seek(0)
+        prev_t, need = 0.0, max(i_t, i_x) + 1
+        for lines in iter(lambda: list(itertools.islice(fh, _BLOCK_LINES)), []):
+            start, offset = offset, offset + len(lines)
             try:
-                tval = float(row[i_t])
-                xval = float(row[i_x])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: non-numeric value") from exc
-            if cumulative:
-                dt = tval - prev_t
-                if dt <= 0.0:
-                    raise ValueError(f"line {lineno}: time stamps must be strictly increasing")
-                prev_t = tval
-            else:
-                dt = tval
-            yield dt, xval
+                if not any(map(str.strip, lines)):
+                    raise ValueError  # np.loadtxt would warn; the rows below skip it
+                cols = np.loadtxt(lines, delimiter=",", usecols=(i_t, i_x), ndmin=2,
+                                  comments=None, quotechar='"')
+                dt = np.diff(cols[:, 0], prepend=prev_t) if cumulative else cols[:, 0]
+                block_ok = bool(np.all(dt > 0.0))
+            except ValueError:
+                block_ok = False
+            if block_ok:
+                prev_t = float(cols[-1, 0])
+                yield from zip(dt.tolist(), cols[:, 1].tolist())
+                continue
+            reader = csv.reader(lines)
+            for row in (r for r in reader if any(cell.strip() for cell in r)):
+                lineno = start + reader.line_num
+                if len(row) < need:
+                    raise ValueError(f"line {lineno}: expected at least {need} columns")
+                try:
+                    tval = float(row[i_t])
+                    xval = float(row[i_x])
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: non-numeric value") from exc
+                if cumulative:
+                    dt = tval - prev_t
+                    if dt <= 0.0:
+                        raise ValueError(f"line {lineno}: time stamps must be strictly increasing")
+                    prev_t = tval
+                else:
+                    dt = tval
+                yield dt, xval
 
 
 def cmd_detect(args) -> int:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 import srdetect.calibration as calibration
 from srdetect.calibration import (
@@ -60,8 +61,36 @@ def test_calibrate_call_count(gamma, monkeypatch):
 
     monkeypatch.setattr(calibration, "f0_at", counted)
     res = calibrate(gamma)
-    assert len(calls) <= 12
+    assert len(calls) <= 6
     assert res.iterations <= len(calls)
+
+
+@pytest.mark.parametrize("gamma", [0.01, 0.5, 2.0, 5.0, 50.0, 1e3, 1e4, 1e5])
+def test_newton_root_matches_brent(gamma):
+    # Brent's method on the same objective, to the same xtol the solver
+    # used before Newton's method replaced it
+    brent = optimize.brentq(lambda r: f0_at(r, r, gamma), 0.05, 2.3, xtol=1e-14)
+    res = calibrate(gamma)
+    assert 0.05 < res.r_star < 2.3
+    assert res.residual == f0_at(res.r_star, res.r_star, gamma)
+    assert abs(res.r_star - brent) <= 1e-13
+    assert res.iterations <= 6
+
+
+def test_both_roots_share_the_newton_solver(monkeypatch):
+    brackets = []
+    newton = calibration._newton
+
+    def recorded(fn, a, b, x, what):
+        brackets.append((a, b))
+        return newton(fn, a, b, x, what)
+
+    monkeypatch.setattr(calibration, "_newton", recorded)
+    calibrate(5.0)
+    root = asymptotic_r_star()
+    assert brackets == [(0.05, 2.3), (2.0, 3.0)]
+    brent = optimize.brentq(lambda r: 1.0 - e1_scaled(1.0 / r), 2.0, 3.0, xtol=1e-14)
+    assert abs(root - brent) <= 1e-13
 
 
 @pytest.mark.parametrize("gamma", [1.0, 5.0, 8.0, 20.0, 50.0])

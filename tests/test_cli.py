@@ -2,13 +2,15 @@
 
 import csv
 import math
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from srdetect.calibration import calibrate, f0_at
-from srdetect.cli import main
+from srdetect.cli import _BLOCK_LINES, _read_increments, main
 
 SQRT2 = math.sqrt(2.0)
 
@@ -254,6 +256,112 @@ def test_detect_rejects_stalled_timestamps(tmp_path, capsys):
                "--r-star", "1.0707", "--out", str(tmp_path / "d.csv")])
     assert rc == 5
     assert "strictly increasing" in capsys.readouterr().err
+
+
+def per_row_records(path):
+    """(dt, dxi) from float() on each non-blank csv row: the reader's reference."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if any(c.strip() for c in r)]
+    header = [c.strip().lower() for c in rows[0]]
+    i_x = header.index("dxi")
+    cumulative = "dt" not in header
+    i_t = header.index("t" if cumulative else "dt")
+    out, prev = [], 0.0
+    for row in rows[1:]:
+        tval, xval = float(row[i_t]), float(row[i_x])
+        out.append((tval - prev if cumulative else tval, xval))
+        prev = tval
+    return out
+
+
+def detect_exit(path, tmp_path, capsys):
+    rc = main(["detect", "--input", str(path), "--gamma", "5",
+               "--r-star", "1.0707", "--out", str(tmp_path / "d.csv")])
+    return rc, capsys.readouterr()
+
+
+@pytest.mark.parametrize("j", [-2, -1, 0, 1, 2, 3])
+def test_detect_bad_row_at_block_boundary_names_its_line(tmp_path, capsys, j):
+    # line 1 is the header, so the blocks after it end at lines 1 + k * _BLOCK_LINES;
+    # blank and ",," rows sit on both sides of the second boundary
+    boundary = 1 + 2 * _BLOCK_LINES
+    bad = boundary + j
+    lines = ["dt,dxi"]
+    for lineno in range(2, boundary + 10):
+        if lineno == bad:
+            lines.append("0.001,abc")
+        elif lineno - boundary in (-4, 5):
+            lines.append("")
+        elif lineno - boundary in (-3, 4):
+            lines.append(",,")
+        else:
+            lines.append("0.001,0")
+    inp = tmp_path / "bad.csv"
+    inp.write_text("\n".join(lines) + "\n")
+    rc, out = detect_exit(inp, tmp_path, capsys)
+    assert rc == 5
+    assert f"line {bad}: non-numeric value" in out.err
+
+
+@pytest.mark.parametrize("blank", [False, True])
+def test_time_stamps_across_blocks_match_per_row_parse(tmp_path, blank):
+    rng = random.Random(7)
+    t, lines = 0.0, ["t,dxi"]
+    for k in range(3 * _BLOCK_LINES + 17):
+        t += rng.uniform(1e-4, 2e-3)
+        lines.append(f"{t!r},{rng.gauss(0.0, 0.03)!r}")
+        if blank and k % 1000 == 999:
+            lines.append("")
+    inp = tmp_path / "stamps.csv"
+    inp.write_text("\n".join(lines) + "\n")
+    got = list(_read_increments(inp))
+    assert len(got) == 3 * _BLOCK_LINES + 17
+    assert np.array(got).tobytes() == np.array(per_row_records(inp)).tobytes()
+
+
+def test_dxi_before_dt_with_extra_column(tmp_path):
+    rng = random.Random(3)
+    rows = [[rng.gauss(0.0, 0.03), "note", rng.uniform(1e-4, 1e-3)]
+            for _ in range(_BLOCK_LINES + 5)]
+    inp = tmp_path / "order.csv"
+    write_csv(inp, [[repr(x), n, repr(d)] for x, n, d in rows], header=["dxi", "note", "dt"])
+    assert list(_read_increments(inp)) == [(d, x) for x, _, d in rows]
+
+
+def test_quoted_numbers_and_crlf_lines(tmp_path):
+    rng = random.Random(5)
+    rows = [[rng.uniform(1e-4, 1e-3), rng.gauss(0.0, 0.03)] for _ in range(_BLOCK_LINES + 5)]
+    inp = tmp_path / "quoted.csv"
+    with open(inp, "w", newline="") as fh:
+        w = csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n")
+        w.writerow(["dt", "dxi"])
+        w.writerows([repr(d), repr(x)] for d, x in rows)
+    assert inp.read_bytes().count(b"\r\n") == len(rows) + 1
+    assert list(_read_increments(inp)) == [tuple(r) for r in rows]
+
+
+def test_detect_hash_in_a_cell_is_an_error(tmp_path, capsys):
+    inp = tmp_path / "hash.csv"
+    inp.write_text("dt,dxi\n0.001,0\n0.001,0 # comment\n0.001,0\n")
+    rc, out = detect_exit(inp, tmp_path, capsys)
+    assert rc == 5
+    assert "line 3: non-numeric value" in out.err
+
+
+@pytest.mark.parametrize("offset,rc", [(-500, 5), (100, 0)])
+def test_bad_row_in_the_alarm_block(tmp_path, capsys, offset, rc):
+    # the skeleton alarms at its 5000th record (line 5001), inside the
+    # block of lines 2 + _BLOCK_LINES .. 1 + 2 * _BLOCK_LINES
+    rows = skeleton_rows(6000)
+    rows[5000 + offset - 1] = ["0.001", "abc"]
+    inp = tmp_path / "alarm.csv"
+    write_csv(inp, rows, header=["dt", "dxi"])
+    code, out = detect_exit(inp, tmp_path, capsys)
+    assert code == rc
+    if rc == 5:
+        assert f"line {5001 + offset}: non-numeric value" in out.err
+    else:
+        assert "alarm at t=5" in out.out
 
 
 def test_module_entry_point(tmp_path):
