@@ -144,6 +144,9 @@ def cmd_verify(args) -> int:
     verdict = "PASS" if ok else "FAIL"
     print(f"sign check f_lambda(r_star) < 0 for lambda > 0: {verdict} "
           f"({n_neg}/{vals.size} values negative)")
+    # fmax/fmin skip the NaNs of rates that were not factored
+    print(f"solve diagnostics: worst residual {np.fmax.reduce(sweep.residuals):.3e}, "
+          f"smallest pivot {np.fmin.reduce(sweep.min_pivots):.3e}")
     return 0 if ok else 3
 
 

@@ -41,12 +41,31 @@ exponential has a non-positive argument and Ei only ever appears
 through ei_scaled.  The upper sum E_i = sum_{j>i} v_j f_j is a reversed
 cumulative sum, and (P f)_i = a_i Q_i + diag_i f_i + E_i costs O(n).
 
-Banded solve.  Taking (f_i, Q_i, E_i) side by side as unknowns, the
-system (I + lambda P) f = f0 together with the two recurrences is a
-3n x 3n banded system with 4 sub- and 3 superdiagonals, solved by LU
-with partial pivoting (LAPACK dgbsv) in O(n) time and memory.
-Eliminating Q and E recovers I + lambda P, so both systems share their
-determinant.
+Tridiagonal solve.  The system (I + lambda P) f = f0 reduces exactly to
+one in f alone.  Subtracting row i+1 from row i removes E, because
+E_i - E_{i+1} = v_{i+1} f_{i+1}; substituting Q_{i+1} = t_{i+1} Q_i + u_i f_i
+then leaves the difference
+
+    p_i f_i + q_i f_{i+1} + lambda c_i Q_i = f0_i - f0_{i+1},
+    p_i = 1 + lambda (diag_i - a_{i+1} u_i),
+    q_i = -1 + lambda (v_{i+1} - diag_{i+1}),    c_i = a_i - a_{i+1} t_{i+1},
+
+with a_n = f0_n = 0 for the last row, which has no q term.  Q_0 = 0
+makes difference 0 the first row, and c_i times difference i+1 minus
+c_{i+1} t_{i+1} times difference i cancels Q, giving the three-term row
+i+1.  So T(lambda) = L Delta (I + lambda P), with Delta the differencing
+and L lower bidiagonal with diagonal (1, c_0, ..., c_{n-2}): T is
+tridiagonal, affine in lambda (T0 + lambda T1, both built once per
+kernel), and det T = c_0 ... c_{n-2} det(I + lambda P).  No c_i vanishes:
+e^x a(R) has derivative e^{1/R} in R, so
+
+    c_i = -e^{-x_i} integral_{R_i}^{R_{i+1}} e^{1/R} dR < 0,
+
+smallest in size, about -r_min^2, at the first node.  Each rate scales
+the rows of T by powers of two, factors it by LU with partial pivoting
+(LAPACK dgttrf) in O(n), and takes one step of iterative refinement
+with the residual against P itself, which restores the digits that the
+row combinations lose.
 
 The right-hand side f0 is sampled node by node with calibration.f0_at,
 the quadrature that calibrates r*, so f0 at the r* node is the
@@ -62,6 +81,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,16 +91,22 @@ from srdetect.specfun import e1_scaled, ei_scaled
 
 _UNSCALED_EXP_LIMIT = 50.0
 
-# Sub- and superdiagonals of the interleaved (f, Q, E) system.
-_KL, _KU = 4, 3
-
 
 class KernelAssemblyError(RuntimeError):
     """Kernel assembly produced or would produce non-finite entries."""
 
 
 class SingularSystemError(RuntimeError):
-    """(I + lambda P) is numerically singular for the requested lambda."""
+    """(I + lambda P) is numerically singular for the requested lambda.
+
+    .min_pivot and .residual are the solve's diagnostics, NaN where the
+    solve stopped before computing them.
+    """
+
+    def __init__(self, msg: str, min_pivot: float = np.nan, residual: float = np.nan):
+        super().__init__(msg)
+        self.min_pivot = min_pivot
+        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -98,25 +124,64 @@ class KernelMatrix:
         """Matrix-vector product P f in O(n)."""
         from scipy.linalg import lapack
 
-        a, diag, v, t, u = self.P
+        a, diag, v, _, u = self.P
         n = a.size
         if f.shape != (n,):
             raise ValueError("f length does not match kernel size")
-        # Q_{i+1} - t_{i+1} Q_i = u_i f_i is a unit lower-bidiagonal solve.
-        band = np.vstack([np.ones(n), np.append(-t[1:], 0.0)])
-        rhs = np.concatenate([[0.0], u[:-1] * f[:-1]])
-        q, _ = lapack.dtbtrs(band, rhs[:, None], uplo="L")
+        rhs = np.empty((n, 1))
+        rhs[0] = 0.0
+        rhs[1:, 0] = u[:-1] * f[:-1]
+        q, _ = lapack.dtbtrs(self._q_band, rhs, uplo="L", overwrite_b=1)
         upper = np.zeros(n)
         upper[:-1] = np.cumsum((v * f)[:0:-1])[::-1]
         return a * q[:, 0] + diag * f + upper
 
+    @cached_property
+    def _q_band(self) -> np.ndarray:
+        # Q_{i+1} - t_{i+1} Q_i = u_i f_i is a unit lower-bidiagonal solve
+        t = self.P[3]
+        return np.vstack([np.ones(t.size), np.append(-t[1:], 0.0)])
+
+    @cached_property
+    def _reduction(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(T0, T1, L) of the tridiagonal reduction in the module docstring.
+
+        T(lambda) = T0 + lambda T1; T0 and T1 are (3, n) with rows
+        (super, diag, sub) and row k's entries in column k.  L is (2, n-1)
+        and holds the multipliers (c_{k-1}, c_k t_k) of row k.
+        """
+        a, diag, v, t, u = self.P
+        a_next = np.append(a[1:], 0.0)       # a_{i+1}, with a_n = 0
+        c = a - a_next * np.append(t[1:], 0.0)
+        dp = diag - a_next * u               # p_i = 1 + lambda dp_i
+        dq = v[1:] - diag[1:]                # q_i = -1 + lambda dq_i
+        cm, ct = c[:-1], c[1:] * t[1:]
+        t0 = np.zeros((3, a.size))
+        t1 = np.zeros((3, a.size))
+        t0[:, 0] = -1.0, 1.0, 0.0
+        t1[:, 0] = dq[0], dp[0], 0.0
+        t0[0, 1:-1] = -cm[:-1]
+        t1[0, 1:-1] = cm[:-1] * dq[1:]
+        t0[1, 1:] = cm + ct
+        t1[1, 1:] = cm * dp[1:] - ct * dq
+        t0[2, 1:] = -ct
+        t1[2, 1:] = cm * c[1:] * u[:-1] - ct * dp[:-1]
+        return t0, t1, np.vstack([cm, ct])
+
 
 @dataclass(frozen=True)
 class LambdaSweep:
-    """f_lambda(r*) sampled over a lambda grid (lambda = 0 row included)."""
+    """f_lambda(r*) sampled over a lambda grid (lambda = 0 row included).
+
+    min_pivots and residuals hold each rate's smallest scaled pivot and
+    solve residual (see solve_f_lambda), NaN where no factorization ran
+    or the solve stopped first.
+    """
 
     lambdas: np.ndarray
     values: np.ndarray
+    min_pivots: np.ndarray
+    residuals: np.ndarray
     gamma: float
     r_star: float
     grid_n: int
@@ -173,66 +238,72 @@ def assemble_kernel(grid: Grid, r_star: float, gamma: float) -> KernelMatrix:
     return KernelMatrix(P=gens, grid=grid)
 
 
-def solve_f_lambda(kernel: KernelMatrix, f0: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (I + lambda P) f_lambda = f0 by banded LU in O(n).
+def solve_f_lambda(
+    kernel: KernelMatrix, f0: np.ndarray, lam: float, *, full_output: bool = False
+):
+    """Solve (I + lambda P) f_lambda = f0 as a tridiagonal system in f, in O(n).
 
-    The unknowns (f_i, Q_i, E_i) of the module docstring are interleaved
-    so the system has 4 sub- and 3 superdiagonals; LAPACK dgbsv factors
-    it with partial pivoting.  The solution is residual-checked against
-    P through KernelMatrix.apply; a numerically singular factorization
-    raises SingularSystemError with the offending pivot magnitude.
+    The reduction of the module docstring gives T(lambda) f = L Delta f0
+    with T(lambda) = T0 + lambda T1; its rows are scaled by powers of two
+    and LAPACK dgttrf/dgttrs factor and solve it with partial pivoting.
+    One step of iterative refinement against P, through
+    KernelMatrix.apply, follows.  A pivot at rounding level or a
+    residual max |f + lambda P f - f0| above 1e-8 * max(max |f0|, 1)
+    raises SingularSystemError.  The reduction needs c_i != 0 for i < n-1,
+    which every assembled kernel has; a hand-made generator set with a
+    zero c_i makes T singular and is reported the same way.
+
+    With full_output=True the return value is (f, min_pivot, residual):
+    the smallest scaled pivot and the residual above, both NaN at
+    lambda = 0, where nothing is solved.
     """
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError("lambda must be nonnegative and finite")
-    a, diag, v, t, u = kernel.P
-    n = a.size
+    n = kernel.P.shape[1]
     if f0.shape != (n,):
         raise ValueError("f0 length does not match kernel size")
     if lam == 0.0:
-        return f0.copy()
+        return (f0.copy(), np.nan, np.nan) if full_output else f0.copy()
     # imported here: scipy.linalg is most of the package import's time,
     # which commands that solve nothing never need
     from scipy.linalg import lapack
 
-    ab = np.zeros((2 * _KL + _KU + 1, 3 * n))
-
-    def put(rows, cols, vals):
-        ab[_KL + _KU + rows - cols, cols] = vals
-
-    i = np.arange(n)
-    fi, qi, ei = 3 * i, 3 * i + 1, 3 * i + 2
-    # f_i + lam (a_i Q_i + diag_i f_i + E_i) = f0_i
-    put(fi, fi, 1.0 + lam * diag)
-    put(fi, qi, lam * a)
-    put(fi, ei, lam)
-    # Q_0 = 0,  Q_{i+1} - t_{i+1} Q_i - u_i f_i = 0
-    put(qi, qi, 1.0)
-    put(qi[1:], qi[:-1], -t[1:])
-    put(qi[1:], fi[:-1], -u[:-1])
-    # E_{n-1} = 0,  E_i - E_{i+1} - v_{i+1} f_{i+1} = 0
-    put(ei, ei, 1.0)
-    put(ei[:-1], ei[1:], -1.0)
-    put(ei[:-1], fi[1:], -v[1:])
-    m_max = np.max(np.abs(ab))
-    rhs = np.zeros((3 * n, 1))
-    rhs[fi, 0] = f0
-
-    lub, _, x, info = lapack.dgbsv(_KL, _KU, ab, rhs)
+    t0, t1, lower = kernel._reduction
+    rows = t0 + lam * t1
+    # power-of-two row scales are exact, and 1 for a zero row
+    row_scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(rows), axis=0))[1])
+    rows *= row_scale
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(
+        rows[2, 1:], rows[1], rows[0, :-1], overwrite_dl=1, overwrite_d=1, overwrite_du=1
+    )
     if info < 0:
-        raise ValueError(f"dgbsv rejected argument {-info}")
-    u_min = np.min(np.abs(lub[_KL + _KU]))
-    if info > 0 or u_min < n * np.finfo(float).eps * m_max:
+        raise ValueError(f"dgttrf rejected argument {-info}")
+    pivot = float(np.min(np.abs(d)))
+    if info > 0 or pivot < n * np.finfo(float).eps:
         raise SingularSystemError(
-            f"lambda = {lam:g}: factorization pivot {u_min:.3e} is at rounding level"
+            f"lambda = {lam:g}: factorization pivot {pivot:.3e} is at rounding level",
+            min_pivot=pivot,
         )
-    f = x[fi, 0]
-    resid = np.max(np.abs(f + lam * kernel.apply(f) - f0))
+
+    def solve(r):
+        # (I + lambda P) x = r, through T x = L Delta r
+        b = r.copy()
+        b[:-1] -= r[1:]
+        b[1:] = lower[0] * b[1:] - lower[1] * b[:-1]
+        x, _ = lapack.dgttrs(dl, d, du, du2, ipiv, (row_scale * b)[:, None], overwrite_b=1)
+        return x[:, 0]
+
+    f = solve(f0)
+    f += solve(f0 - f - lam * kernel.apply(f))
+    resid = float(np.max(np.abs(f + lam * kernel.apply(f) - f0)))
     scale = max(np.max(np.abs(f0)), 1.0)
     if not np.isfinite(resid) or resid > 1e-8 * scale:
         raise SingularSystemError(
-            f"lambda = {lam:g}: solution residual {resid:.3e} exceeds 1e-8 * {scale:g}"
+            f"lambda = {lam:g}: solution residual {resid:.3e} exceeds 1e-8 * {scale:g}",
+            min_pivot=pivot,
+            residual=resid,
         )
-    return f
+    return (f, pivot, resid) if full_output else f
 
 
 def sweep_lambda(grid: Grid, r_star: float, gamma: float, lambdas) -> LambdaSweep:
@@ -256,16 +327,21 @@ def sweep_lambda(grid: Grid, r_star: float, gamma: float, lambdas) -> LambdaSwee
     f0 = assemble_f0_vector(grid, r_star, gamma)
     idx = grid.r_star_index
     values = np.empty_like(lams)
+    pivots = np.empty_like(lams)
+    resids = np.empty_like(lams)
     failures: list[tuple[float, str]] = []
     for j, lam in enumerate(lams):
         try:
-            values[j] = solve_f_lambda(kernel, f0, float(lam))[idx]
+            f, pivots[j], resids[j] = solve_f_lambda(kernel, f0, float(lam), full_output=True)
+            values[j] = f[idx]
         except SingularSystemError as exc:
-            values[j] = np.nan
+            values[j], pivots[j], resids[j] = np.nan, exc.min_pivot, exc.residual
             failures.append((float(lam), str(exc)))
     return LambdaSweep(
         lambdas=lams,
         values=values,
+        min_pivots=pivots,
+        residuals=resids,
         gamma=gamma,
         r_star=r_star,
         grid_n=grid.n,

@@ -3,6 +3,7 @@
 import csv
 import math
 import random
+import re
 import subprocess
 import sys
 
@@ -73,6 +74,22 @@ def test_verify_small_domain(tmp_path, capsys):
     header, rows = read_csv(tmp_path / "f0_scan.csv")
     assert header == ["r", "f0"]
     assert len(rows) == 10
+
+
+def test_verify_prints_solve_diagnostics(tmp_path, capsys):
+    rc = main([
+        "verify", "--gamma", "2", "--grid-n", "301", "--lambda-count", "5",
+        "--scan-n", "10", "--r-min", "5e-3", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("gamma=2: r_star=")
+    assert lines[2].startswith("sign check f_lambda(r_star) < 0 for lambda > 0: PASS")
+    resid, pivot = re.fullmatch(
+        r"solve diagnostics: worst residual (\S+), smallest pivot (\S+)", lines[3]
+    ).groups()
+    assert float(resid) <= 1e-12
+    assert 0.1 <= float(pivot) <= 1.0
 
 
 def test_verify_accepts_explicit_r_star(tmp_path):

@@ -5,12 +5,15 @@ The kernel test recomputes rows from unscaled exponential integrals at
 without the scaled-function regrouping the library uses for stability.
 The library stores P by its O(n) generators; the dense row-by-row
 assembly below is the oracle for them, and dense matrices of the
-library's P come from applying it to the unit vectors.
+library's P come from applying it to the unit vectors.  On grids too
+large for a dense matrix, the interleaved (f, Q, E) banded system is the
+oracle for the library's tridiagonal solve.
 """
 
 import numpy as np
 import pytest
 from scipy import integrate, special
+from scipy.linalg import lapack
 
 from srdetect.calibration import calibrate
 from srdetect.fredholm import (
@@ -88,6 +91,39 @@ def _dense_kernel(grid):
     return P
 
 
+def _banded_solve(ker, f0, lam):
+    """Solve (I + lam P) f = f0 with the unknowns (f_i, Q_i, E_i) side by
+    side: the two generator recurrences make a 3n x 3n system with 4 sub-
+    and 3 superdiagonals, which dgbsv factors with partial pivoting."""
+    kl, ku = 4, 3
+    a, diag, v, t, u = ker.P
+    n = a.size
+    ab = np.zeros((2 * kl + ku + 1, 3 * n))
+
+    def put(rows, cols, vals):
+        ab[kl + ku + rows - cols, cols] = vals
+
+    i = np.arange(n)
+    fi, qi, ei = 3 * i, 3 * i + 1, 3 * i + 2
+    # f_i + lam (a_i Q_i + diag_i f_i + E_i) = f0_i
+    put(fi, fi, 1.0 + lam * diag)
+    put(fi, qi, lam * a)
+    put(fi, ei, lam)
+    # Q_0 = 0,  Q_{i+1} - t_{i+1} Q_i - u_i f_i = 0
+    put(qi, qi, 1.0)
+    put(qi[1:], qi[:-1], -t[1:])
+    put(qi[1:], fi[:-1], -u[:-1])
+    # E_{n-1} = 0,  E_i - E_{i+1} - v_{i+1} f_{i+1} = 0
+    put(ei, ei, 1.0)
+    put(ei[:-1], ei[1:], -1.0)
+    put(ei[:-1], fi[1:], -v[1:])
+    rhs = np.zeros((3 * n, 1))
+    rhs[fi, 0] = f0
+    _, _, x, info = lapack.dgbsv(kl, ku, ab, rhs)
+    assert info == 0
+    return x[fi, 0]
+
+
 def _diffw(b):
     # independent trapezoid differential weights (loop form)
     m = len(b)
@@ -162,6 +198,23 @@ def test_apply_and_solve_match_dense_oracle(gamma):
         assert np.max(np.abs(ker.apply(want) - P @ want)) <= 1e-12 * scale
         got = solve_f_lambda(ker, f0, lam)
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("gamma", [5.0, 20.0])
+def test_solve_matches_banded_oracle_on_large_grid(gamma):
+    # Both solves are backward stable, so they agree to the rounding of
+    # the right-hand side; at lam >= 1e3 the solution is 1e-4 of f0 and
+    # that rounding is about 1e-11 of the solution, in the oracle too.
+    r_star = calibrate(gamma).r_star
+    grid = make_grid(2e-3, r_star, gamma, 65537)
+    ker = assemble_kernel(grid, r_star, gamma)
+    f0 = assemble_f0_vector(grid, r_star, gamma)
+    for lam in (0.05, 1.0, 10.0, 1e3, 1e4):
+        want = _banded_solve(ker, f0, lam)
+        err = np.max(np.abs(solve_f_lambda(ker, f0, lam) - want))
+        assert err <= 1e-12 * np.max(np.abs(f0))
+        if lam <= 10.0:
+            assert err <= 1e-12 * np.max(np.abs(want))
 
 
 def test_kernel_row_sums_match_analytic_integral(kernel5, grid5):
@@ -243,6 +296,34 @@ def test_singular_system_reported():
         solve_f_lambda(ker, np.ones(5), 1.0)
 
 
+def test_singular_system_reported_at_exact_singularity():
+    # dyadic generators with rows 0 and 2 of I + P equal, and every
+    # c_i = a_i - a_{i+1} t_{i+1} nonzero, so no reduced row vanishes and
+    # the singularity shows only in the factorization
+    grid = make_grid(0.5, 1.0, 1.0, 5)
+    a = [0.0, 0.5, 1.0, 0.5, 0.25]
+    diag = [0.0, 0.25, -0.5, 0.25, 0.5]
+    v = [0.0, 0.5, 0.5, 0.25, 0.25]
+    t = [0.0, 0.5, 1.0, 0.5, 0.5]
+    u = [1.0, 0.5, 0.25, 0.5, 0.0]
+    ker = KernelMatrix(P=np.array([a, diag, v, t, u]), grid=grid)
+    M = np.eye(5) + _expand(ker)
+    assert np.array_equal(M[0], M[2])
+    assert np.all(ker.P[0, :-1] - ker.P[0, 1:] * ker.P[3, 1:] != 0.0)
+    with pytest.raises(SingularSystemError) as info:
+        solve_f_lambda(ker, np.ones(5), 1.0)
+    assert info.value.min_pivot < 5 * np.finfo(float).eps
+
+
+def test_solve_full_output_reports_pivot_and_residual(kernel5, f05):
+    f, pivot, resid = solve_f_lambda(kernel5, f05, 1.0, full_output=True)
+    assert np.array_equal(f, solve_f_lambda(kernel5, f05, 1.0))
+    assert 0.1 <= pivot <= 1.0
+    assert resid == np.max(np.abs(f + kernel5.apply(f) - f05))
+    f, pivot, resid = solve_f_lambda(kernel5, f05, 0.0, full_output=True)
+    assert np.array_equal(f, f05) and np.isnan(pivot) and np.isnan(resid)
+
+
 def test_large_grid_memory_stays_linear(cal5):
     n = 65537
     grid = make_grid(2e-3, cal5.r_star, 5.0, n)
@@ -294,6 +375,10 @@ def test_sweep_small_domain_sign_and_zero_row():
     assert sweep.lambdas[0] == 0.0 and sweep.lambdas.size == 6
     assert sweep.values[0] == cal.residual
     assert np.all(sweep.values[1:] < 0.0)
+    # per-rate diagnostics, NaN on the lambda = 0 row where nothing is factored
+    assert np.isnan(sweep.min_pivots[0]) and np.isnan(sweep.residuals[0])
+    assert np.all(sweep.min_pivots[1:] > 0.1)
+    assert np.all(sweep.residuals[1:] <= 1e-12)
 
 
 def test_sweep_validates_lambda_grid(grid5, cal5):
