@@ -163,6 +163,8 @@ def _parse_checks(spec: str) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
+    if args.n_paths < 2:
+        return _fail("--n-paths must be at least 2 for a standard error", 2)
     try:
         checks = _parse_checks(args.checks)
         if args.r_star is not None:
@@ -204,8 +206,7 @@ def cmd_simulate(args) -> int:
     try:
         if "stoptime" in checks:
             est = mc_mean_stop_time(batch)
-            tol = max(3.0 * est.std_err, 0.05 * gamma)  # overshoot allowance
-            record("stoptime", est, gamma, abs(est.mean - gamma) <= tol)
+            record("stoptime", est, gamma, abs(est.mean - gamma) <= 3.0 * est.std_err)
         if "martingale" in checks:
             est = mc_martingale_check(batch)
             record("martingale", est, 0.0, abs(est.mean) <= 4.0 * est.std_err)

@@ -6,7 +6,8 @@ the log-likelihood-ratio increment of the observations,
     du = -(mu^2/2) dt + mu dxi,
 
 which has mean -(mu^2/2) dt before the change and +(mu^2/2) dt after.
-One step applies the exact-in-du trapezoid update
+The engine runs in the paper's units, mu = sqrt(2), as detect_stream
+does.  One step applies the exact-in-du trapezoid update
 
     R' = e^du R + (dt/2) (e^du + 1),
 
@@ -43,12 +44,11 @@ thread updates the paths from an earlier slab.  numpy releases the
 interpreter lock in the generator's fill and in the ufuncs, so the two
 threads overlap.  Each step uses the same normals and the same float
 operations, in the same order, as stepping one step at a time, so
-results are bit-identical for a given (seed, chunk_size, dt, n_paths)
-whatever the block size or the slab size, and do not depend on how
-many chunks run or in what order they are reduced.  The bridge draws
-come from a counter-based hash of (seed, chunk, path, step), made only
-on the few steps with an end near A, so they leave the stream of
-normals as it is.
+results are bit-identical for a given (seed, dt, n_paths) whatever the
+block size or the slab size, and do not depend on how many chunks run
+or in what order they are reduced.  The bridge draws come from a
+counter-based hash of (seed, chunk, path, step), made only on the few
+steps with an end near A, so they leave the stream of normals as it is.
 
 The noiseless mode replaces du by its information skeleton: du = 0
 before the change (the likelihood ratio stays flat, so R_t = r* + t and
@@ -83,6 +83,9 @@ class HorizonCapError(RuntimeError):
 class SimConfig:
     """Simulation settings; the change-point regime is part of the config.
 
+    The post-change drift is sqrt(2), the paper's units, and the paths
+    run in chunks of _CHUNK, so (seed, dt, n_paths) fix every path.
+
     regime:
         pre_change    change never happens (false alarms, and every
                       change point through the estimators' reweighting)
@@ -93,10 +96,8 @@ class SimConfig:
     t_max: float | None = None
     seed: int = 0
     n_paths: int = 100_000
-    drift_mu: float = SQRT2
     regime: str = "pre_change"
     noiseless: bool = False
-    chunk_size: int = 16384
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0.0):
@@ -105,10 +106,6 @@ class SimConfig:
             raise ValueError("t_max must be positive when given")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
-        if not (np.isfinite(self.drift_mu) and self.drift_mu != 0.0):
-            raise ValueError("drift_mu must be nonzero and finite")
         if self.regime not in _REGIMES:
             raise ValueError(f"regime must be one of {_REGIMES}")
 
@@ -213,10 +210,14 @@ class _DelayTable:
         return frac
 
 
-def _chunk_sizes(n_paths: int, chunk_size: int) -> list[int]:
-    sizes = [chunk_size] * (n_paths // chunk_size)
-    if n_paths % chunk_size:
-        sizes.append(n_paths % chunk_size)
+# paths per chunk, each chunk with its own stream of normals
+_CHUNK = 16384
+
+
+def _chunk_sizes(n_paths: int) -> list[int]:
+    sizes = [_CHUNK] * (n_paths // _CHUNK)
+    if n_paths % _CHUNK:
+        sizes.append(n_paths % _CHUNK)
     return sizes
 
 
@@ -332,22 +333,6 @@ def _kill_uniforms(key: np.ndarray, slots: np.ndarray, steps: np.ndarray) -> np.
     return u
 
 
-def _kill_uniform(key: int, slot: int, step: int) -> float:
-    """One value of _kill_uniforms, to the bit, in Python integers."""
-    x = (slot << 32 | step) ^ key
-    x ^= x >> 30
-    x = x * 0xBF58476D1CE4E5B9 & _KEY_MASK
-    x ^= x >> 27
-    x = x * 0x94D049BB133111EB & _KEY_MASK
-    x ^= x >> 31
-    return (x >> 11) * 2.0**-53 + 2.0**-54
-
-
-# kill-draw tables of at most this many entries are hashed one entry at a
-# time; a numpy call costs more than a scalar hash on so few
-_SCALAR_DRAWS = 32
-
-
 def _first_row(stop):
     """The first row of the mask stop with a True in it, and its columns; or (None, None)."""
     rows, at = np.nonzero(stop)
@@ -356,36 +341,18 @@ def _first_row(stop):
     return rows[0], at[rows == rows[0]]
 
 
-def _first_kills(key, slots, k, p):
-    """The first row j with kill draws u(slots[i], k + j) < p[j, i], and those i.
-
-    Returns (j, columns), or (None, None) when no draw is below its p.  No
-    draw is below 2^-54, so in the scalar loop only the entries with p
-    above it are hashed, a row at a time up to the first with a kill.
-    """
-    if p.size > _SCALAR_DRAWS:
-        return _first_row(_kill_uniforms(key, slots, np.arange(k, k + p.shape[0])[:, None]) < p)
-    key = int(key[0])
-    slots = slots.tolist()
-    for j, row in enumerate(p.tolist(), start=int(k)):
-        at = [i for i, pi in enumerate(row)
-              if pi > 2.0**-54 and _kill_uniform(key, slots[i], j) < pi]
-        if at:
-            return j - k, np.array(at)
-    return None, None
-
-
 def _first_stops(H, A, a_near, kill_scale, key, slots, k):
     """The first step-row of the block H with a stop, and who stops in it, where.
 
     Row j takes R from H[j] to H[j + 1] in step k + j.  A path stops in it
     when it crosses A on the grid, at its ln-R interpolation point, or when
-    the kill draw of the step falls below the bridge crossing probability
-    exp(kill_scale ln(A/H[j]) ln(A/H[j + 1])), at mid-step; key None
-    draws no kills.  Draws are made in the columns that reach a_near; a
-    step with both ends below it has a probability under 3e-20, below any
-    draw, so it never stops a path.  Returns (J, columns, fractions) with
-    J - 1 the stop row, or (b, None, None) when no path of the b rows stops.
+    its kill draw u(slot, k + j) of _kill_uniforms falls below the bridge
+    crossing probability exp(kill_scale ln(A/H[j]) ln(A/H[j + 1])), at
+    mid-step; key None draws no kills.  Draws are made in the columns that
+    reach a_near, for every row of the block at once; a step with both
+    ends below a_near has a probability under 3e-20, below any draw, so it
+    never stops a path.  Returns (J, columns, fractions) with J - 1 the
+    stop row, or (b, None, None) when no path of the b rows stops.
     """
     b = H.shape[0] - 1
     cols = np.flatnonzero((H >= a_near).any(axis=0))
@@ -402,7 +369,8 @@ def _first_stops(H, A, a_near, kill_scale, key, slots, k):
         np.maximum(p, 0.0, out=p)
         p *= kill_scale
         np.exp(p, out=p)
-        row, at = _first_kills(key, slots[cols], k, p)
+        steps = np.arange(k, k + p.shape[0])[:, None]
+        row, at = _first_row(_kill_uniforms(key, slots[cols], steps) < p)
     if row is None:
         return b, None, None
     frac = np.full(at.size, 0.5)
@@ -518,17 +486,10 @@ class _NoiseRing:
 def _add_rows(acc: np.ndarray, rows: np.ndarray):
     """Add rows[0], rows[1], ... into acc in place, each element summed in row order.
 
-    A reduce over the rows may sum pairwise, so narrow rows go through
-    add.accumulate, which sums in order and is fast on them, and wide
-    rows through one add per row, which is faster there.
+    A reduce over the rows may sum pairwise, so each row is one add.
     """
-    if acc.size > 64:
-        for r in rows:
-            np.add(acc, r, out=acc)
-        return
-    out = np.concatenate((acc[None], rows))
-    np.add.accumulate(out, axis=0, out=out)
-    acc[...] = out[-1]
+    for r in rows:
+        np.add(acc, r, out=acc)
 
 
 def _without(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -594,13 +555,13 @@ def _simulate_chunk(
     """
     A = r_star + gamma
     dt = cfg.dt
-    half_drift = 0.5 * cfg.drift_mu * cfg.drift_mu * dt
+    half_drift = 0.5 * SQRT2 * SQRT2 * dt
     post = cfg.regime == "post_change"
     # du has mean -half_drift before the change and +half_drift after it;
     # the noiseless skeleton keeps only the post-change gain (du = 0 before)
     drift = half_drift if post else -half_drift
     e_skeleton = math.exp(half_drift) if post else 1.0
-    sig = abs(cfg.drift_mu) * math.sqrt(dt)
+    sig = SQRT2 * math.sqrt(dt)
     t_max = cfg.t_max if cfg.t_max is not None else 100.0 * gamma
     n_steps = int(math.ceil(t_max / dt))
     n_lam = lams.size
@@ -752,7 +713,7 @@ def simulate_paths(r_star: float, gamma: float, config: SimConfig, lams=(0.0,)) 
     if np.any(lams < 0.0) or not np.all(np.isfinite(lams)):
         raise ValueError("discount rates must be nonnegative and finite")
     table = _DelayTable(r_star, gamma)
-    sizes = _chunk_sizes(config.n_paths, config.chunk_size)
+    sizes = _chunk_sizes(config.n_paths)
     with ThreadPoolExecutor(max_workers=1) as pool:
         parts = [_simulate_chunk(r_star, gamma, config, lams, c, m, table, pool)
                  for c, m in enumerate(sizes)]

@@ -10,8 +10,10 @@ import sys
 import numpy as np
 import pytest
 
+from srdetect import cli
 from srdetect.calibration import calibrate, f0_at
 from srdetect.cli import _BLOCK_LINES, _read_increments, main
+from srdetect.simulator import McEstimate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -160,6 +162,40 @@ def test_simulate_argument_errors(tmp_path, capsys):
                  "--dt", "1e-3", "--out", str(tmp_path / "capped.csv")]) == 2
     assert "hit the horizon" in capsys.readouterr().err
     assert not (tmp_path / "capped.csv").exists()
+
+
+def test_simulate_rejects_fewer_than_two_paths(tmp_path, capsys, monkeypatch):
+    # one path has no standard error; the run stops before any path
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths were simulated")
+
+    monkeypatch.setattr(cli, "simulate_paths", no_paths)
+    for n in ("1", "0"):
+        assert main(["simulate", "--gamma", "2", "--n-paths", n,
+                     "--out", str(tmp_path / "one.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n-paths must be at least 2" in captured.err
+    assert not (tmp_path / "one.csv").exists()
+
+
+@pytest.mark.parametrize("z,rc", [(4.0, 4), (-4.0, 4), (2.9, 0)])
+def test_simulate_stoptime_gate_is_three_standard_errors(tmp_path, capsys, monkeypatch, z, rc):
+    # an estimate z SE from gamma; 4 SE is inside 5% of gamma, which the
+    # gate no longer allows for
+    gamma, se = 2.0, 0.01
+    assert 4.0 * se < 0.05 * gamma
+
+    def shifted(batch):
+        return McEstimate(mean=gamma + z * se, std_err=se, n_paths=batch.stop_step.size, seed=0)
+
+    monkeypatch.setattr(cli, "mc_mean_stop_time", shifted)
+    out = tmp_path / "stoptime.csv"
+    assert main(["simulate", "--gamma", str(gamma), "--checks", "stoptime", "--n-paths", "200",
+                 "--dt", "1e-3", "--out", str(out)]) == rc
+    assert ("FAIL" in capsys.readouterr().out) == (rc == 4)
+    _, rows = read_csv(out)
+    assert rows[0][0] == "stoptime" and rows[0][5] == str(int(rc == 0))
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

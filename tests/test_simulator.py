@@ -1,13 +1,10 @@
 """Path simulation: exact chain identities, regimes, and estimators.
 
 The strongest checks here are deterministic: the noiseless skeleton
-alarms at exactly gamma, and rescaling (mu, dt, r*, gamma) by a power
-of two reproduces the same chain bit for bit at 4x the scale, because
-every factor in the update is scaled by an exact float operation.
-The library steps its paths in time blocks, from noise a helper thread
-fills ahead in slabs; the per-step loop below, reading g from a
-two-gather table, is the oracle it must match bit for bit at any block
-and slab size.
+alarms at exactly gamma, and the library, which steps its paths in time
+blocks from noise a helper thread fills ahead in slabs, must match the
+per-step loop below, reading g from a two-gather table, bit for bit at
+any chunk, block and slab size.
 """
 
 import itertools
@@ -68,22 +65,23 @@ def _two_gather_lookup(vals, A):
 def _reference_chunk(r_star, gamma, cfg, lams, chunk_index, m, lookup):
     """One step of every live path at a time, one draw of R.size normals per step.
 
-    A step stops a path when it crosses A on the grid, at the ln-R
-    interpolation point, or when the bridge draw of a step with an end in
-    the near band falls below the crossing probability, at mid-step; the
-    last g term is weighted by the fraction of the step used.  The
-    controls advance at every stride-th step and at the stop.
+    Like the engine, it runs at post-change drift sqrt(2).  A step stops a
+    path when it crosses A on the grid, at the ln-R interpolation point,
+    or when the bridge draw of a step with an end in the near band falls
+    below the crossing probability, at mid-step; the last g term is
+    weighted by the fraction of the step used.  The controls advance at
+    every stride-th step and at the stop.
     """
     rng = np.random.Generator(
         np.random.Philox(key=np.array([cfg.seed & ((1 << 64) - 1), chunk_index], dtype=np.uint64))
     )
     A = r_star + gamma
     dt = cfg.dt
-    half_drift = 0.5 * cfg.drift_mu * cfg.drift_mu * dt
+    half_drift = 0.5 * SQRT2 * SQRT2 * dt
     post = cfg.regime == "post_change"
     drift = half_drift if post else -half_drift
     e_skeleton = math.exp(half_drift) if post else 1.0
-    sig = abs(cfg.drift_mu) * math.sqrt(dt)
+    sig = SQRT2 * math.sqrt(dt)
     t_max = cfg.t_max if cfg.t_max is not None else 100.0 * gamma
     n_steps = int(math.ceil(t_max / dt))
     n_lam = lams.size
@@ -187,9 +185,9 @@ _OUTPUTS = ("stop_step", "stop_frac", "stopped", "r_at_stop", "int_g_disc", "z")
 
 
 def _chunks(simulate, r_star, gamma, cfg, lams):
-    """The per-path outputs of every chunk, concatenated in chunk order."""
+    """The per-path outputs of every chunk of simulator._CHUNK paths, concatenated in order."""
     parts = [simulate(r_star, gamma, cfg, lams, c, m)
-             for c, m in enumerate(_chunk_sizes(cfg.n_paths, cfg.chunk_size))]
+             for c, m in enumerate(_chunk_sizes(cfg.n_paths))]
     return [np.concatenate([p[j] for p in parts], axis=-1) for j in range(len(_OUTPUTS))]
 
 
@@ -236,8 +234,8 @@ def test_step_statistic_positive_and_monotone(R, du, dt):
         dict(dt=math.inf),
         dict(t_max=0.0),
         dict(n_paths=0),
-        dict(chunk_size=0),
-        dict(drift_mu=0.0),
+        dict(dt=-1e-3),
+        dict(t_max=math.nan),
         dict(regime="bogus"),
         dict(regime="change_at"),
         dict(regime="random_prior"),
@@ -265,8 +263,9 @@ def test_noiseless_post_change_alarms_early():
     assert batch.stop_time[0] == batch.stop_time[1]
 
 
-def test_bit_reproducible():
-    cfg = SimConfig(dt=1e-3, seed=11, n_paths=700, chunk_size=256)
+def test_bit_reproducible(monkeypatch):
+    monkeypatch.setattr(simulator, "_CHUNK", 256)
+    cfg = SimConfig(dt=1e-3, seed=11, n_paths=700)
     a = simulate_paths(R_STAR, GAMMA, cfg, lams=(0.0, 1.0))
     b = simulate_paths(R_STAR, GAMMA, cfg, lams=(0.0, 1.0))
     assert np.array_equal(a.stop_time, b.stop_time)
@@ -278,7 +277,7 @@ def test_bit_reproducible():
 # keeps the per-step oracle fast
 _ENGINE_CASES = {
     "pre_change, 3 rates": (R_STAR, GAMMA, (0.0, 0.5, 2.0),
-                            SimConfig(dt=2e-3, seed=3, n_paths=300, chunk_size=128)),
+                            SimConfig(dt=2e-3, seed=3, n_paths=300)),
     "post_change, 1 rate": (R_STAR, GAMMA, (0.0,),
                             SimConfig(dt=2e-3, seed=4, n_paths=400, regime="post_change")),
     "noiseless": (R_STAR, GAMMA, (0.0, 1.0), SimConfig(dt=2e-3, n_paths=3, noiseless=True)),
@@ -288,16 +287,19 @@ _ENGINE_CASES = {
     "t_max capped": (1.524, 20.0, (0.0, 0.5),
                      SimConfig(dt=2e-3, seed=5, n_paths=200, t_max=3.0)),
     "1-path chunk": (R_STAR, GAMMA, (0.0, 0.5), SimConfig(dt=2e-3, seed=6, n_paths=1)),
-    "chunk_size=1": (R_STAR, GAMMA, (0.0, 0.5),
-                     SimConfig(dt=2e-3, seed=7, n_paths=6, chunk_size=1)),
+    "chunk_size=1": (R_STAR, GAMMA, (0.0, 0.5), SimConfig(dt=2e-3, seed=7, n_paths=6)),
     "one rate, one live path": (R_STAR, GAMMA, (0.5,),
                                 SimConfig(dt=2e-3, seed=8, n_paths=12)),
 }
+# paths per chunk of the cases that run several chunks; the others run
+# at the default simulator._CHUNK
+_CASE_CHUNKS = {"pre_change, 3 rates": 128, "chunk_size=1": 1}
 
 
 @pytest.mark.parametrize("case", list(_ENGINE_CASES))
 def test_blocked_engine_matches_per_step_loop_bitwise(case, monkeypatch):
     r_star, gamma, lams, cfg = _ENGINE_CASES[case]
+    monkeypatch.setattr(simulator, "_CHUNK", _CASE_CHUNKS.get(case, simulator._CHUNK))
     lams = np.asarray(lams)
     lookup = _two_gather_lookup(_grid_values(r_star, gamma), r_star + gamma)
     ref = _chunks(lambda *a: _reference_chunk(*a, lookup), r_star, gamma, cfg, lams)
@@ -463,38 +465,45 @@ def test_kill_uniforms_are_uniform_and_independent_across_steps():
     assert not np.any(other == u[0])
 
 
-def test_scalar_kill_draws_match_the_array_hash(monkeypatch):
+class _NumpyWith:
+    """numpy with some of its functions replaced, for one module's view of it."""
+
+    def __init__(self, **funcs):
+        self.__dict__.update(funcs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_first_stops_return_the_first_row_with_a_kill(monkeypatch):
     key = simulator._kill_key(5, 1)
     slots = np.array([0, 1, 7, 4095, 2**31 - 1, 12, 3, 999, 40, 41])
-    steps = np.array([0, 1, 12345, 2**32 - 1])
-    u = _kill_uniforms_real(key, slots, steps[:, None])
-    for j, step in enumerate(steps.tolist()):
-        for i, slot in enumerate(slots.tolist()):
-            assert simulator._kill_uniform(int(key[0]), slot, step) == u[j, i]
-    # the scalar loop and the array path find the same first row with a
-    # kill, also where p equals the draw (no kill) or is at most 2^-54
-    # (never hashed)
     k = 500
     u = _kill_uniforms_real(key, slots, np.arange(k, k + 3)[:, None])
+    # columns 0-2 hold p = 2^-54 (no draw is below it), 0 and 1 (every
+    # draw is below it), columns 3 and 7 p = u; kills come in the first
+    # row that is not zeroed out, or in none
     p = u * np.array([0.5, 1.0, 1.5, 1.0, 2.0, 0.9, 1.1, 1.0, 3.0, 0.2])
     p[:, :3] = [2.0**-54, 0.0, 1.0]
-    assert p.size <= simulator._SCALAR_DRAWS
+    # a block of three rows, all in the near band and below A; the
+    # simulator's np.exp, which turns the bridge exponents into crossing
+    # probabilities, writes q instead
+    A = 6.0
+    H = np.full((4, slots.size), 5.9)
     for first in range(4):
         q = p.copy()
         q[:first] = 0.0
-        want = np.nonzero((u < q).any(axis=1))[0]
-        scalar = simulator._first_kills(key, slots, np.int64(k), q)
-        monkeypatch.setattr(simulator, "_SCALAR_DRAWS", 0)
-        array = simulator._first_kills(key, slots, np.int64(k), q)
+        monkeypatch.setattr(simulator, "np", _NumpyWith(exp=lambda x, out: np.copyto(out, q)))
+        J, cols, frac = simulator._first_stops(H, A, 0.0, -1.0, key, slots, np.int64(k))
         monkeypatch.undo()
         if first == 3:
-            assert scalar == array == (None, None)
+            assert (J, cols, frac) == (3, None, None)
             continue
-        assert scalar[0] == array[0] == want[0] == first
-        assert np.array_equal(scalar[1], array[1])
-        assert np.array_equal(array[1], np.flatnonzero(u[first] < q[first]))
+        assert J - 1 == first
+        assert np.array_equal(cols, np.flatnonzero(u[first] < q[first]))
+        assert np.all(frac == 0.5)
         # p = 1 always kills; p = 2^-54, p = 0 and p = u never do
-        assert 2 in array[1] and not {0, 1, 3} & set(array[1].tolist())
+        assert 2 in cols and not {0, 1, 3} & set(cols.tolist())
 
 
 @pytest.mark.parametrize("cols", [[], [0], [5], [11], [0, 11], [2, 3, 7], list(range(0, 12, 2))
@@ -521,7 +530,8 @@ def test_delay_table_matches_two_gather_formula_bitwise():
 
 
 def test_helper_thread_is_joined_on_return_and_on_error(monkeypatch):
-    cfg = SimConfig(dt=1e-2, seed=2, n_paths=300, chunk_size=128)
+    monkeypatch.setattr(simulator, "_CHUNK", 128)
+    cfg = SimConfig(dt=1e-2, seed=2, n_paths=300)
     start = threading.active_count()
     simulate_paths(R_STAR, GAMMA, cfg)
     assert threading.active_count() == start
@@ -576,24 +586,13 @@ def test_chunk_draws_at_most_twice_the_normals_it_uses(cap, monkeypatch):
             return self._rng.standard_normal(out=out)
 
     monkeypatch.setattr(simulator, "_BLOCK_CAP", cap)
+    monkeypatch.setattr(simulator, "_CHUNK", 1)
     monkeypatch.setattr(simulator.np.random, "Generator", Counting)
-    cfg = SimConfig(dt=1e-3, seed=9, n_paths=30, chunk_size=1)
+    cfg = SimConfig(dt=1e-3, seed=9, n_paths=30)
     batch = simulate_paths(R_STAR, GAMMA, cfg)
     used = batch.stop_step
     assert len(drawn) == cfg.n_paths
     assert np.all(used <= drawn) and np.all(drawn <= 2 * used + cap)
-
-
-def test_power_of_two_rescaling_is_exact():
-    # (mu, dt, r*, gamma) -> (mu/2, 4 dt, 4 r*, 4 gamma) doubles du's
-    # scale parameters without changing the driving normals, so stop
-    # times and stopped values come out exactly 4x, path by path.
-    c1 = SimConfig(dt=1e-3, seed=11, n_paths=500, chunk_size=256, drift_mu=SQRT2)
-    c2 = SimConfig(dt=4e-3, seed=11, n_paths=500, chunk_size=256, drift_mu=SQRT2 / 2)
-    b1 = simulate_paths(R_STAR, GAMMA, c1)
-    b2 = simulate_paths(4 * R_STAR, 4 * GAMMA, c2)
-    assert np.array_equal(b2.stop_time, 4.0 * b1.stop_time)
-    assert np.array_equal(b2.r_at_stop, 4.0 * b1.r_at_stop)
 
 
 def test_martingale_identity_within_noise():
