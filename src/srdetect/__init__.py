@@ -28,9 +28,7 @@ from srdetect.simulator import (
     SimBatch,
     SimConfig,
     detect_stream,
-    mc_delay_ratio,
     mc_f_lambda,
-    mc_martingale_check,
     mc_mean_stop_time,
     simulate_paths,
 )
@@ -58,9 +56,7 @@ __all__ = [
     "f0_at",
     "g",
     "make_grid",
-    "mc_delay_ratio",
     "mc_f_lambda",
-    "mc_martingale_check",
     "mc_mean_stop_time",
     "simulate_paths",
     "solve_f_lambda",

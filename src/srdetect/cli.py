@@ -31,20 +31,17 @@ from pathlib import Path
 
 import numpy as np
 
+from srdetect import _checks
 from srdetect.calibration import calibrate, f0_at
 from srdetect.fredholm import sweep_lambda
 from srdetect.quadrature import make_grid
 from srdetect.simulator import (
     HorizonCapError,
     SimConfig,
-    mc_delay_ratio,
     mc_f_lambda,
-    mc_martingale_check,
-    mc_mean_stop_time,
     simulate_paths,
     detect_stream,
 )
-from srdetect.specfun import g
 
 _PRESETS = {
     "gamma5": dict(gamma=5.0, grid_n=2001, lambda_count=100),
@@ -171,64 +168,37 @@ def cmd_simulate(args) -> int:
             r_star = args.r_star
         else:
             r_star = calibrate(args.gamma).r_star
-        config = SimConfig(
-            dt=args.dt,
-            t_max=args.t_max,
-            seed=args.seed,
-            n_paths=args.n_paths,
-            regime="pre_change",
-            noiseless=args.noiseless,
-        )
-        lam = args.lam if args.lam is not None else 0.0
-        if not all(math.isfinite(r) and r >= 0.0 for r in args.r or []):
-            return _fail("--r must be nonnegative and finite", 2)
-        lams = sorted({0.0, lam})
+        config = SimConfig(dt=args.dt, t_max=args.t_max, seed=args.seed, n_paths=args.n_paths)
+        lams = sorted({0.0, args.lam})
         batch = simulate_paths(r_star, args.gamma, config, lams=lams)
     except ValueError as exc:
         return _fail(str(exc), 2)
 
-    gamma = args.gamma
-    g_star = g(r_star, r_star, gamma)
-    f_ests = {l: mc_f_lambda(batch, l) for l in lams}
-    ratios = ", ".join(f"{est.variance_ratio:.3g} at lambda={l:g}" for l, est in f_ests.items())
+    ratios = ", ".join(f"{mc_f_lambda(batch, l).variance_ratio:.3g} at lambda={l:g}"
+                       for l in lams)
     print(f"bridge kills: {batch.killed_fraction:.2%} of paths; "
           f"control-variate variance ratio (plain/CV): {ratios}")
     rows = []
-    all_ok = True
-
-    def record(check: str, est, target: float, ok: bool):
-        nonlocal all_ok
-        all_ok = all_ok and ok
-        rows.append([check, est.mean, est.std_err, est.n_paths, target, int(ok)])
-        print(f"{check:>24s}: {est.mean:.5f} +- {est.std_err:.5f} "
-              f"vs {target:.5f} -> {'pass' if ok else 'FAIL'}")
-
     try:
         if "stoptime" in checks:
-            est = mc_mean_stop_time(batch)
-            record("stoptime", est, gamma, abs(est.mean - gamma) <= 3.0 * est.std_err)
+            rows.append(_checks.stoptime(batch))
         if "martingale" in checks:
-            est = mc_martingale_check(batch)
-            record("martingale", est, 0.0, abs(est.mean) <= 4.0 * est.std_err)
+            rows.append(_checks.martingale(batch))
         if "flambda" in checks:
-            est = f_ests[lam]
-            if lam == 0.0:
-                ok = abs(est.mean) <= 4.0 * est.std_err
-            else:
-                ok = est.mean + 2.0 * est.std_err < 0.0
-            record(f"flambda(lambda={lam:g})", est, 0.0, ok)
+            rows.append(_checks.flambda(batch, args.lam))
         if "equalizer" in checks:
-            for r in args.r if args.r else [0.0, r_star, 3.0]:
-                est = mc_delay_ratio(batch, r, 0.0)
-                ok = abs(est.mean - g_star) <= 4.0 * est.std_err
-                record(f"equalizer(r={r:g})", est, g_star, ok)
+            rows += _checks.equalizer(batch)
     except HorizonCapError as exc:
         return _fail(str(exc), 2)
 
+    for check, est, target, ok in rows:
+        print(f"{check:>24s}: {est.mean:.5f} +- {est.std_err:.5f} "
+              f"vs {target:.5f} -> {'pass' if ok else 'FAIL'}")
     out = Path(args.out) if args.out else _out_dir(None) / "sim_checks.csv"
-    _write_csv(out, ["check", "mean", "std_err", "n_paths", "target", "pass"], rows)
+    _write_csv(out, ["check", "mean", "std_err", "n_paths", "target", "pass"],
+               ([c, est.mean, est.std_err, est.n_paths, t, int(ok)] for c, est, t, ok in rows))
     print(f"wrote {out}")
-    return 0 if all_ok else 4
+    return 0 if all(row[3] for row in rows) else 4
 
 
 def _read_increments(path: Path):
@@ -349,21 +319,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", help="Monte Carlo checks of the calibrated procedure")
+    p = sub.add_parser("simulate", help="Monte Carlo checks of the calibrated procedure",
+                       allow_abbrev=False)  # so that --r is not read as --r-star
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--r-star", type=float, default=None)
     p.add_argument("--checks", type=str, default="all",
                    help=f"comma list from {{{','.join(_CHECK_NAMES)}}} or all")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--lambda", dest="lam", type=float, default=0.0,
                    help="discount rate for the flambda check")
-    p.add_argument("--r", type=float, action="append", default=None,
-                   help="head-start values for the equalizer check (repeatable)")
     p.add_argument("--n-paths", type=int, default=20000)
     p.add_argument("--dt", type=float, default=2.5e-4,
                    help="step size; coarser steps bias the boundary checks")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--noiseless", action="store_true")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_simulate)
 

@@ -760,19 +760,6 @@ def mc_mean_stop_time(batch: SimBatch) -> McEstimate:
     return _estimate(batch.stop_time, batch.config.seed)
 
 
-def mc_martingale_check(batch: SimBatch) -> McEstimate:
-    """Estimate E[R_K - r* - K dt], zero by E[R_K] = r* + E[K] dt, on a pre-change batch.
-
-    K is the stop step, and R_K the chain after it, also for a path that a
-    bridge crossing stopped below A.  The identity holds exactly for the
-    discrete chain even for capped paths (optional stopping at a bounded
-    time), so no cap guard is needed; the mean should be zero within noise.
-    """
-    _require_pre_change(batch, "mc_martingale_check")
-    return _estimate(batch.r_at_stop - batch.r_star - batch.stop_step * batch.config.dt,
-                     batch.config.seed)
-
-
 def _cross_fit(values: np.ndarray, controls: np.ndarray) -> np.ndarray:
     """values - controls.T @ beta, with beta fitted on the other half of the paths.
 
@@ -820,36 +807,6 @@ def mc_f_lambda(batch: SimBatch, lam: float) -> McEstimate:
     var = float(np.var(fitted))
     ratio = float(np.var(values)) / var if var > 0.0 else 1.0
     return replace(_estimate(fitted, batch.config.seed), variance_ratio=ratio)
-
-
-def mc_delay_ratio(batch: SimBatch, r: float, lam: float) -> McEstimate:
-    """Worst-case discounted delay ratio for prior parameters (r, lam).
-
-    Estimates
-        [r g(r*) + (1 - lam r) E int e^{-lam t} g(R_t) dt]
-        / [r + (1 - lam r) E int e^{-lam t} dt]
-    from a pre-change batch carrying the rate lam; at lam = 0 it is the
-    equalized delay, equal to g(r*) for every r.  The standard error is
-    the delta-method value for a ratio of correlated means.
-    """
-    _require_pre_change(batch, "mc_delay_ratio")
-    if not (np.isfinite(r) and r >= 0.0):
-        raise ValueError("r must be nonnegative and finite")
-    if lam * r > 1.0:
-        raise ValueError("need lam * r <= 1 for a proper prior")
-    j = _lam_row(batch, lam)
-    g_star = g(batch.r_star, batch.r_star, batch.gamma)
-    w = 1.0 - lam * r
-    num = r * g_star + w * batch.int_g_disc[j]
-    den = r + w * batch.int_disc[j]
-    num_mean = float(np.mean(num))
-    den_mean = float(np.mean(den))
-    ratio = num_mean / den_mean
-    n = num.size
-    cov = np.cov(num, den, ddof=1)
-    var = (cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio * ratio * cov[1, 1]) / n
-    se = math.sqrt(max(var, 0.0)) / abs(den_mean)
-    return McEstimate(mean=ratio, std_err=se, n_paths=n, seed=batch.config.seed)
 
 
 def detect_stream(increments, r_star: float, gamma: float) -> tuple[bool, float, float]:

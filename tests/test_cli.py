@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from srdetect import cli
+from srdetect import _checks, cli
 from srdetect.calibration import calibrate, f0_at
 from srdetect.cli import _BLOCK_LINES, _read_increments, main
 from srdetect.simulator import McEstimate
@@ -143,19 +143,18 @@ def test_simulate_argument_errors(tmp_path, capsys):
     assert main(["simulate", "--gamma", "2", "--checks", "nonsense",
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "unknown checks" in capsys.readouterr().err
-    # the equalizer rows are computed at lambda = 0, so --lambda does not
-    # bound --r
+    # the equalizer rows are computed at lambda = 0, whatever --lambda is
     assert main(["simulate", "--gamma", "2", "--checks", "equalizer",
-                 "--lambda", "1.0", "--r", "3.0", "--n-paths", "500",
+                 "--lambda", "1.0", "--n-paths", "500",
                  "--out", str(tmp_path / "y.csv")]) == 0
     assert "equalizer(r=3)" in capsys.readouterr().out
-    # bad head starts are caught before any path is simulated
-    for bad in ("-1", "nan"):
-        assert main(["simulate", "--gamma", "2", "--r", bad, "--n-paths", "100",
-                     "--dt", "1e-3", "--out", str(tmp_path / "z.csv")]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--r must be nonnegative and finite" in captured.err
+    # the head starts are fixed, and the noiseless skeleton has no
+    # statistical checks to run
+    for flags in (["--r", "3"], ["--noiseless"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--gamma", "2", *flags, "--out", str(tmp_path / "z.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "z.csv").exists()
     # a horizon that caps most paths would bias E[T] low
     assert main(["simulate", "--gamma", "5", "--t-max", "1", "--n-paths", "200",
@@ -179,23 +178,41 @@ def test_simulate_rejects_fewer_than_two_paths(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "one.csv").exists()
 
 
-@pytest.mark.parametrize("z,rc", [(4.0, 4), (-4.0, 4), (2.9, 0)])
-def test_simulate_stoptime_gate_is_three_standard_errors(tmp_path, capsys, monkeypatch, z, rc):
-    # an estimate z SE from gamma; 4 SE is inside 5% of gamma, which the
-    # gate no longer allows for
-    gamma, se = 2.0, 0.01
-    assert 4.0 * se < 0.05 * gamma
+# each gate's width in standard errors, the estimator it reads, and the
+# estimate's target on a gamma = 2 run
+_GATES = {
+    "stoptime": (3.0, "mc_mean_stop_time", 2.0),
+    "martingale": (3.0, "_estimate", 0.0),
+    "flambda": (4.0, "mc_f_lambda", 0.0),
+    "equalizer": (4.0, "mc_f_lambda", 0.0),
+}
 
-    def shifted(batch):
-        return McEstimate(mean=gamma + z * se, std_err=se, n_paths=batch.stop_step.size, seed=0)
 
-    monkeypatch.setattr(cli, "mc_mean_stop_time", shifted)
-    out = tmp_path / "stoptime.csv"
-    assert main(["simulate", "--gamma", str(gamma), "--checks", "stoptime", "--n-paths", "200",
+@pytest.mark.parametrize("check", sorted(_GATES))
+@pytest.mark.parametrize("side,offset,rc", [(1, 0.5, 4), (-1, 0.5, 4), (1, -0.1, 0)],
+                         ids=["above", "below", "inside"])
+def test_simulate_gates_sit_at_their_widths(tmp_path, capsys, monkeypatch, check, side, offset,
+                                            rc):
+    # an estimate (k + offset) SE above or below its target, k the gate's width
+    k, estimator, target = _GATES[check]
+    z, se = side * (k + offset), 0.01
+
+    def shifted(*args, **kwargs):
+        return McEstimate(mean=target + z * se, std_err=se, n_paths=200, seed=0)
+
+    monkeypatch.setattr(_checks.simulator, estimator, shifted)
+    out = tmp_path / "gate.csv"
+    # the flambda(lambda=0) row gives the equalizer rows their verdict
+    checks = "flambda,equalizer" if check == "equalizer" else check
+    assert main(["simulate", "--gamma", "2", "--checks", checks, "--n-paths", "200",
                  "--dt", "1e-3", "--out", str(out)]) == rc
     assert ("FAIL" in capsys.readouterr().out) == (rc == 4)
     _, rows = read_csv(out)
-    assert rows[0][0] == "stoptime" and rows[0][5] == str(int(rc == 0))
+    names = {"flambda": ["flambda(lambda=0)"],
+             "equalizer": ["flambda(lambda=0)", "equalizer(r=0)",
+                           f"equalizer(r={calibrate(2.0).r_star:g})", "equalizer(r=3)"]}
+    assert [row[0] for row in rows] == names.get(check, [check])
+    assert all(row[5] == str(int(rc == 0)) for row in rows)
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

@@ -14,6 +14,18 @@ def test_all_names_resolve_and_are_unique():
         assert getattr(srdetect, name) is not None
 
 
+def test_public_names_are_pinned():
+    # a helper that only tests call does not belong here; adding a public
+    # name is a deliberate edit of this list
+    assert sorted(srdetect.__all__) == sorted([
+        "CalibrationResult", "Grid", "HorizonCapError", "KernelMatrix", "LambdaSweep",
+        "McEstimate", "SimBatch", "SimConfig", "SingularSystemError", "asymptotic_r_star",
+        "assemble_f0_vector", "assemble_kernel", "calibrate", "detect_stream", "e1_scaled",
+        "ei_scaled", "f0_at", "g", "make_grid", "mc_f_lambda", "mc_mean_stop_time",
+        "simulate_paths", "solve_f_lambda", "sweep_lambda", "__version__",
+    ])
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is most of the import time; it loads only when a command
     # calibrates or solves

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from srdetect import simulator
+from srdetect import _checks, simulator
 from srdetect.simulator import (
     SQRT2,
     HorizonCapError,
@@ -26,9 +26,7 @@ from srdetect.simulator import (
     _DelayTable,
     _simulate_chunk,
     detect_stream,
-    mc_delay_ratio,
     mc_f_lambda,
-    mc_martingale_check,
     mc_mean_stop_time,
     simulate_paths,
 )
@@ -597,8 +595,9 @@ def test_chunk_draws_at_most_twice_the_normals_it_uses(cap, monkeypatch):
 
 def test_martingale_identity_within_noise():
     cfg = SimConfig(dt=1e-3, seed=5, n_paths=4000)
-    est = mc_martingale_check(simulate_paths(0.7868, 2.0, cfg))
-    assert abs(est.mean) <= 4.0 * est.std_err
+    name, est, target, ok = _checks.martingale(simulate_paths(0.7868, 2.0, cfg))
+    assert (name, target, ok) == ("martingale", 0.0, True)
+    assert est.std_err > 0.0
 
 
 def test_martingale_identity_survives_truncation():
@@ -606,8 +605,7 @@ def test_martingale_identity_survives_truncation():
     cfg = SimConfig(dt=1e-3, seed=5, n_paths=5000, t_max=1.0)
     batch = simulate_paths(0.7868, 2.0, cfg)
     assert batch.capped_fraction > 0.2
-    est = mc_martingale_check(batch)
-    assert abs(est.mean) <= 4.0 * est.std_err
+    assert _checks.martingale(batch)[3]
 
 
 def test_horizon_cap_guard():
@@ -671,12 +669,10 @@ def test_estimators_require_matching_batch():
     batch = simulate_paths(R_STAR, GAMMA, cfg, lams=(0.0,))
     with pytest.raises(ValueError, match="no discount rate"):
         mc_f_lambda(batch, 2.0)
+    # the martingale check reads the control of rate 0
+    rate_one = simulate_paths(R_STAR, GAMMA, replace(cfg, n_paths=20), lams=(1.0,))
     with pytest.raises(ValueError, match="no discount rate"):
-        mc_delay_ratio(batch, 0.0, 2.0)
-    with pytest.raises(ValueError, match="lam \\* r"):
-        mc_delay_ratio(batch, 3.0, 1.0)
-    with pytest.raises(ValueError, match="r must be"):
-        mc_delay_ratio(batch, -1.0, 0.0)
+        _checks.martingale(rate_one)
 
 
 def _cross_fit_reference(values, controls):
@@ -701,10 +697,11 @@ def test_estimators_read_r_star_gamma_and_seed_from_batch():
     assert est.mean == pytest.approx(np.mean(fitted), rel=1e-9, abs=1e-12)
     assert est.std_err == pytest.approx(np.std(fitted, ddof=1) / math.sqrt(300), rel=1e-9)
     assert est.variance_ratio == pytest.approx(np.var(plain) / np.var(fitted), rel=1e-9)
-    assert mc_delay_ratio(batch, 0.0, 0.0).seed == 1
-    assert mc_martingale_check(batch).mean == np.mean(
-        batch.r_at_stop - R_STAR - batch.stop_step * cfg.dt
-    )
+    mart = _checks.martingale(batch)[1]
+    assert (mart.seed, mart.n_paths) == (1, 300)
+    diff = batch.r_at_stop - R_STAR - batch.stop_step * cfg.dt
+    assert mart.mean == pytest.approx(np.mean(diff), rel=0.0, abs=1e-11)
+    assert mart.std_err == pytest.approx(np.std(diff, ddof=1) / math.sqrt(300), rel=1e-9)
 
 
 def test_estimators_reject_post_change_batch():
@@ -712,8 +709,7 @@ def test_estimators_reject_post_change_batch():
     batch = simulate_paths(R_STAR, GAMMA, cfg, lams=(0.0,))
     for call in (
         lambda: mc_f_lambda(batch, 0.0),
-        lambda: mc_martingale_check(batch),
-        lambda: mc_delay_ratio(batch, 0.0, 0.0),
+        lambda: _checks.martingale(batch),
     ):
         with pytest.raises(ValueError, match="requires the pre_change regime"):
             call()
@@ -722,12 +718,22 @@ def test_estimators_reject_post_change_batch():
 def test_f_lambda_zero_is_centered_and_equalizer_flat():
     cfg = SimConfig(dt=1e-3, seed=7, n_paths=2000)
     batch = simulate_paths(R_STAR, GAMMA, cfg, lams=(0.0,))
-    est = mc_f_lambda(batch, 0.0)
-    assert abs(est.mean) <= 4.0 * est.std_err
-    d0 = mc_delay_ratio(batch, 0.0, 0.0)
-    d3 = mc_delay_ratio(batch, 3.0, 0.0)
-    gap = abs(d0.mean - d3.mean)
-    assert gap <= 4.0 * math.sqrt(d0.std_err**2 + d3.std_err**2)
+    f_row = _checks.flambda(batch, 0.0)
+    assert f_row[0] == "flambda(lambda=0)" and f_row[3]
+    # D(r) = (r g* + mean int g) / (r + mean T), the delay ratio of a head
+    # start r, is g* + f_0 / (r + mean T) on the same paths, with f_0 the
+    # plain lambda = 0 mean: the identity the equalizer rows rest on
+    g_star = g(R_STAR, R_STAR, GAMMA)
+    t_bar = np.mean(batch.stop_time)
+    f0_plain = np.mean(batch.int_g_disc[0] - g_star * batch.int_disc[0])
+    rows = _checks.equalizer(batch)
+    assert len(rows) == 3
+    for r, (name, est, target, ok) in zip((0.0, R_STAR, 3.0), rows):
+        ratio = (r * g_star + np.mean(batch.int_g_disc[0])) / (r + t_bar)
+        assert ratio == pytest.approx(g_star + f0_plain / (r + t_bar), rel=0.0, abs=1e-12)
+        assert name == f"equalizer(r={r:g})" and target == g_star and ok == f_row[3]
+        assert est.mean == pytest.approx(g_star + f_row[1].mean / (r + t_bar), rel=0.0, abs=1e-14)
+        assert est.std_err == pytest.approx(f_row[1].std_err / (r + t_bar), rel=1e-12)
 
 
 def test_run_path_single_outcome():
