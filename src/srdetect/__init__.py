@@ -12,15 +12,7 @@ from srdetect.calibration import (
     calibrate,
     f0_at,
 )
-from srdetect.fredholm import (
-    KernelMatrix,
-    LambdaSweep,
-    SingularSystemError,
-    assemble_f0_vector,
-    assemble_kernel,
-    solve_f_lambda,
-    sweep_lambda,
-)
+from srdetect.fredholm import LambdaSweep, sweep_lambda
 from srdetect.quadrature import Grid, make_grid
 from srdetect.simulator import (
     HorizonCapError,
@@ -40,15 +32,11 @@ __all__ = [
     "CalibrationResult",
     "Grid",
     "HorizonCapError",
-    "KernelMatrix",
     "LambdaSweep",
     "McEstimate",
     "SimBatch",
     "SimConfig",
-    "SingularSystemError",
     "asymptotic_r_star",
-    "assemble_f0_vector",
-    "assemble_kernel",
     "calibrate",
     "detect_stream",
     "e1_scaled",
@@ -59,7 +47,6 @@ __all__ = [
     "mc_f_lambda",
     "mc_mean_stop_time",
     "simulate_paths",
-    "solve_f_lambda",
     "sweep_lambda",
     "__version__",
 ]

@@ -10,9 +10,10 @@ at R = r*, which balances the detection delay across change points.  The
 Stieltjes integral is evaluated in scaled form, d(Ei(x)) = e^x/x dx, so the
 integrand is e1_scaled(x)/x: both factors stay O(1) across the whole range
 even though E1 and Ei separately under/overflow there.  One rule computes
-it everywhere, here and for the f0 vector in fredholm: Gauss-Legendre on
-panels in u = ln x (_log_integrals), where it is accurate to rounding
-level at a cost that grows only with ln(A/R).
+it everywhere, for calibrate, the verify scan and the lambda = 0 row of
+fredholm's sweep: Gauss-Legendre on panels in u = ln x (_log_integrals),
+where it is accurate to rounding level at a cost that grows only with
+ln(A/R).
 
 calibrate() solves f0(r*) = 0 (with r* also moving A) by Newton's method
 with a closed-form derivative; the bracket [0.05, 2.3] covers every gamma

@@ -100,8 +100,9 @@ def cmd_verify(args) -> int:
     )
     if lambda_count < 1:
         return _fail("--lambda-count must be at least 1", 2)
-    if args.lambda_max <= 0.0:
-        return _fail("--lambda-max must be positive (the sweep is over (0, lambda-max])", 2)
+    if not (math.isfinite(args.lambda_max) and args.lambda_max > 0.0):
+        return _fail("--lambda-max must be positive and finite "
+                     "(the sweep is over (0, lambda-max])", 2)
 
     try:
         if args.r_star is not None:
@@ -134,16 +135,16 @@ def cmd_verify(args) -> int:
     for lam, msg in sweep.failures:
         print(f"solve failed at lambda={lam:g}: {msg}", file=sys.stderr)
 
-    positive = sweep.lambdas > 0.0
-    vals = sweep.values[positive]
-    ok = np.all(np.isfinite(vals)) and np.all(vals < 0.0) and not sweep.failures
-    n_neg = int(np.sum(vals < 0.0))
-    verdict = "PASS" if ok else "FAIL"
-    print(f"sign check f_lambda(r_star) < 0 for lambda > 0: {verdict} "
-          f"({n_neg}/{vals.size} values negative)")
+    # a value inside the scheme's own error at lambda = 0 shows no sign
+    vals = sweep.values[sweep.lambdas > 0.0]
+    n_below = int(np.sum(vals < -sweep.grid_error))
+    ok = np.all(np.isfinite(vals)) and n_below == vals.size and not sweep.failures
+    print(f"sign check f_lambda(r_star) < -grid_error for lambda > 0: "
+          f"{'PASS' if ok else 'FAIL'} ({n_below}/{vals.size} values below)")
     # fmax/fmin skip the NaNs of rates that were not factored
     print(f"solve diagnostics: worst residual {np.fmax.reduce(sweep.residuals):.3e}, "
           f"smallest pivot {np.fmin.reduce(sweep.min_pivots):.3e}")
+    print(f"grid error: {sweep.grid_error:.3e} (|scheme at lambda=0 - f0(r_star)|)")
     return 0 if ok else 3
 
 

@@ -1,11 +1,8 @@
-"""Grids on the statistic axis and trapezoid weights for Stieltjes sums.
+"""The grid on the statistic axis that the f_lambda scheme solves on.
 
-The Fredholm discretization integrates functions against differentials
-d(b(z)) of monotone weight functions rather than dz, so the trapezoid rule
-is expressed through first differences of the sampled weight function b.
-The resulting weights telescope: their sum is exactly b[-1] - b[0], which
-makes the weighted sum values @ w exact for constant integrands by
-construction.
+make_grid spaces n nodes uniformly on [r_min, A] and moves the nearest
+interior node onto the head start r*, so the solution is read at r*
+without interpolation.
 """
 
 from __future__ import annotations
@@ -58,19 +55,3 @@ def make_grid(r_min: float, r_star: float, gamma: float, n: int) -> Grid:
     if not np.all(np.diff(nodes) > 0.0):
         raise ValueError("grid nodes are not strictly increasing after snapping")
     return Grid(nodes=nodes, r_star_index=idx, threshold=threshold, r_min=r_min)
-
-
-def diff_weights(b_values) -> np.ndarray:
-    """Trapezoid weights against the differential of sampled b.
-
-    w[0] = (b[1]-b[0])/2, interior w[i] = (b[i+1]-b[i-1])/2, and
-    w[-1] = (b[-1]-b[-2])/2; the sum telescopes to b[-1] - b[0].
-    """
-    b = np.asarray(b_values, dtype=float)
-    if b.ndim != 1 or b.size < 3:
-        raise ValueError("need a 1-d array of at least 3 sampled values")
-    w = np.empty_like(b)
-    w[0] = 0.5 * (b[1] - b[0])
-    w[1:-1] = 0.5 * (b[2:] - b[:-2])
-    w[-1] = 0.5 * (b[-1] - b[-2])
-    return w

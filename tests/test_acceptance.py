@@ -25,16 +25,11 @@ import pytest
 
 from srdetect import _checks
 from srdetect.calibration import asymptotic_r_star, calibrate
-from srdetect.fredholm import (
-    assemble_f0_vector,
-    assemble_kernel,
-    ode_residual,
-    solve_f_lambda,
-    sweep_lambda,
-)
+from srdetect.fredholm import ode_residual, sweep_lambda
 from srdetect.quadrature import make_grid
 from srdetect.simulator import SimConfig, mc_f_lambda, mc_mean_stop_time, simulate_paths
 from srdetect.specfun import e1_scaled, ei_scaled
+from test_fredholm import f_nodes
 from test_specfun import oracle_e1_scaled, oracle_ei_scaled
 
 LOG = logging.getLogger("acceptance")
@@ -124,12 +119,8 @@ def batch_f(cal5):
 def fred_vals(cal5):
     res, _ = cal5
     grid = make_grid(2e-3, res.r_star, 5.0, 2001)
-    f0 = assemble_f0_vector(grid, res.r_star, 5.0)
-    ker = assemble_kernel(grid, res.r_star, 5.0)
-    return {
-        lam: float(solve_f_lambda(ker, f0, lam)[grid.r_star_index])
-        for lam in (0.5, 2.0, 8.0)
-    }
+    sweep = sweep_lambda(grid, res.r_star, 5.0, [0.5, 2.0, 8.0])
+    return dict(zip(sweep.lambdas[1:].tolist(), sweep.values[1:].tolist()))
 
 
 def test_criterion_01_head_start_gamma5(cal5):
@@ -161,7 +152,7 @@ def test_criterion_03_asymptotic_head_start():
 def test_criterion_04_sign_sweep_gamma5(sweep5):
     sweep, sec = sweep5
     vals = sweep.values[sweep.lambdas > 0.0]
-    n_neg = int(np.sum(vals < 0.0))
+    n_neg = int(np.sum(vals < -sweep.grid_error))
     ok = (
         vals.size == 100
         and bool(np.all(np.isfinite(vals)))
@@ -169,14 +160,15 @@ def test_criterion_04_sign_sweep_gamma5(sweep5):
         and not sweep.failures
         and sec < 120.0
     )
-    report(4, "f_lambda(r*) < 0 on 100 rates, gamma=5", ok,
-           f"{n_neg}/{vals.size} negative, max={np.max(vals):.2e}, {sec:.1f}s")
+    report(4, "f_lambda(r*) < -grid_error on 100 rates, gamma=5", ok,
+           f"{n_neg}/{vals.size} below, max={np.max(vals):.2e}, "
+           f"grid error={sweep.grid_error:.1e}, {sec:.1f}s")
 
 
 def test_criterion_05_sign_sweep_gamma20(sweep20):
     sweep, sec = sweep20
     vals = sweep.values[sweep.lambdas > 0.0]
-    n_neg = int(np.sum(vals < 0.0))
+    n_neg = int(np.sum(vals < -sweep.grid_error))
     ok = (
         vals.size == 200
         and bool(np.all(np.isfinite(vals)))
@@ -184,8 +176,9 @@ def test_criterion_05_sign_sweep_gamma20(sweep20):
         and not sweep.failures
         and sec < 600.0
     )
-    report(5, "f_lambda(r*) < 0 on 200 rates, gamma=20", ok,
-           f"{n_neg}/{vals.size} negative, max={np.max(vals):.2e}, {sec:.1f}s")
+    report(5, "f_lambda(r*) < -grid_error on 200 rates, gamma=20", ok,
+           f"{n_neg}/{vals.size} below, max={np.max(vals):.2e}, "
+           f"grid error={sweep.grid_error:.1e}, {sec:.1f}s")
 
 
 def test_criterion_06_refinement_order(cal5):
@@ -193,10 +186,7 @@ def test_criterion_06_refinement_order(cal5):
     resids = {}
     for n in (2001, 4001):
         grid = make_grid(2e-3, res.r_star, 5.0, n)
-        f0 = assemble_f0_vector(grid, res.r_star, 5.0)
-        ker = assemble_kernel(grid, res.r_star, 5.0)
-        f = solve_f_lambda(ker, f0, 1.0)
-        resids[n] = ode_residual(f, grid, 1.0, res.r_star, 5.0)
+        resids[n] = ode_residual(f_nodes(grid, 1.0), grid, 1.0, res.r_star, 5.0)
     ratio = resids[2001] / resids[4001]
     ok = 3.0 <= ratio <= 5.0
     report(6, "differential residual refines at 2nd order", ok,

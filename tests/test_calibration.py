@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import integrate, optimize, special
 
 import srdetect.calibration as calibration
 from srdetect.calibration import (
@@ -11,6 +11,7 @@ from srdetect.calibration import (
     calibrate,
     f0_at,
 )
+from srdetect.quadrature import make_grid
 from srdetect.specfun import e1_scaled
 
 
@@ -147,6 +148,31 @@ def test_f0_at_array_equals_scalar_calls(gamma):
     want = [[f0_at(float(x), 1.0, gamma) for x in row] for row in R]
     assert np.array_equal(got, want)
     assert got[-1, -1] == 0.0
+
+
+def test_f0_at_matches_log_quadrature_oracle():
+    # f0(R) = (1 - e^{1/r*} E1(1/r*)) (R - A) + integral of e^x E1(x) du
+    # over u = ln x from ln(1/A) to ln(1/R), by adaptive quadrature, on
+    # nodes of a verify grid from r_min up to the threshold
+    res = calibrate(5.0)
+    r_star = res.r_star
+    grid = make_grid(2e-3, r_star, 5.0, 2001)
+    A = grid.threshold
+    slope = 1.0 - np.exp(1.0 / r_star) * special.exp1(1.0 / r_star)
+
+    def integrand(u):
+        x = np.exp(u)
+        return np.exp(x) * special.exp1(x)
+
+    idx = [0, 1, 4, 250, grid.r_star_index, 700, 1200, 1900, grid.n - 2]
+    R = grid.nodes[idx]
+    got = f0_at(R, np.full(R.size, r_star), 5.0)
+    assert got[idx.index(grid.r_star_index)] == res.residual
+    for R_i, f_i in zip(R, got):
+        integral, _ = integrate.quad(
+            integrand, np.log(1.0 / A), np.log(1.0 / R_i), epsabs=1e-14, epsrel=1e-13, limit=200
+        )
+        assert f_i == pytest.approx(slope * (R_i - A) + integral, abs=1e-12)
 
 
 def test_f0_at_array_domain_checks():

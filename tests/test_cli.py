@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -86,12 +87,44 @@ def test_verify_prints_solve_diagnostics(tmp_path, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("gamma=2: r_star=")
-    assert lines[2].startswith("sign check f_lambda(r_star) < 0 for lambda > 0: PASS")
+    assert lines[2] == ("sign check f_lambda(r_star) < -grid_error for lambda > 0: "
+                        "PASS (5/5 values below)")
     resid, pivot = re.fullmatch(
         r"solve diagnostics: worst residual (\S+), smallest pivot (\S+)", lines[3]
     ).groups()
     assert float(resid) <= 1e-12
     assert 0.1 <= float(pivot) <= 1.0
+    grid_error = re.fullmatch(r"grid error: (\S+) \(.*\)", lines[4]).group(1)
+    assert 0.0 < float(grid_error) <= 1e-7
+
+
+def test_verify_fails_inside_grid_error(tmp_path, capsys):
+    # at lambda = 1e-6 the value is negative, but closer to 0 than the
+    # scheme's error at lambda = 0, so it shows no sign
+    rc = main([
+        "verify", "--gamma", "2", "--grid-n", "301", "--lambda-count", "1",
+        "--lambda-max", "1e-6", "--scan-n", "5", "--r-min", "5e-3", "--out", str(tmp_path),
+    ])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "FAIL (0/1 values below)" in out
+    grid_error = float(re.search(r"grid error: (\S+)", out).group(1))
+    _, rows = read_csv(tmp_path / "lambda_sweep.csv")
+    assert -grid_error < float(rows[1][1]) < 0.0
+
+
+def test_verify_reports_factorization_failure(tmp_path, capsys, monkeypatch):
+    from scipy.linalg import lapack
+
+    monkeypatch.setattr(lapack, "dpttrf", lambda d, e: (d, e, 1))
+    rc = main([
+        "verify", "--gamma", "2", "--grid-n", "301", "--lambda-count", "2",
+        "--scan-n", "5", "--r-min", "5e-3", "--out", str(tmp_path),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "solve failed at lambda=5: dpttrf returned info = 1" in captured.err
+    assert "FAIL (0/2 values below)" in captured.out
 
 
 def test_verify_accepts_explicit_r_star(tmp_path):
@@ -109,8 +142,12 @@ def test_verify_argument_errors(tmp_path, capsys):
     assert main(["verify", "--out", str(tmp_path)]) == 2  # no gamma, no preset
     assert main(["verify", "--gamma", "2", "--lambda-count", "0",
                  "--out", str(tmp_path)]) == 2
-    assert main(["verify", "--gamma", "2", "--lambda-max", "0",
-                 "--out", str(tmp_path)]) == 2
+    for bad in ("0", "nan", "inf"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--gamma", "2", "--lambda-max", bad,
+                         "--out", str(tmp_path)]) == 2
+        assert "--lambda-max must be positive and finite" in capsys.readouterr().err
     capsys.readouterr()
 
 
