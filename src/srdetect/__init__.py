@@ -24,7 +24,7 @@ from srdetect.simulator import (
     mc_mean_stop_time,
     simulate_paths,
 )
-from srdetect.specfun import e1_scaled, ei_scaled, g
+from srdetect.specfun import e1_scaled, g
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "calibrate",
     "detect_stream",
     "e1_scaled",
-    "ei_scaled",
     "f0_at",
     "g",
     "make_grid",

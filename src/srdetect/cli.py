@@ -120,7 +120,7 @@ def cmd_verify(args) -> int:
 
         grid = make_grid(args.r_min, r_star, gamma, grid_n)
         lams = np.linspace(0.0, args.lambda_max, lambda_count + 1)[1:]
-        sweep = sweep_lambda(grid, r_star, gamma, lams)
+        sweep = sweep_lambda(grid, lams)
     except ValueError as exc:
         return _fail(str(exc), 2)
 

@@ -47,7 +47,6 @@ clear.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -135,13 +134,14 @@ def _solve(system: _System, lam: float) -> tuple[np.ndarray, float, float]:
     return z, float(np.min(d / diag)), float(np.max(np.abs(tz - rhs)) / scale)
 
 
-def sweep_lambda(grid: Grid, r_star: float, gamma: float, lambdas) -> LambdaSweep:
+def sweep_lambda(grid: Grid, lambdas) -> LambdaSweep:
     """Evaluate f_lambda(r*) across a lambda grid on one assembled system.
 
-    A lambda = 0 row is prepended when not already present.  Its value is
-    f0(r*), the calibration residual; its solve gives grid_error.  A rate
-    whose factorization fails, or whose backward error is above 1e-12, is
-    recorded in .failures with a NaN value instead of aborting the sweep.
+    r* and gamma are the grid's.  A lambda = 0 row is prepended when not
+    already present.  Its value is f0(r*), the calibration residual; its
+    solve gives grid_error.  A rate whose factorization fails, or whose
+    backward error is above 1e-12, is recorded in .failures with a NaN
+    value instead of aborting the sweep.
     """
     lams = np.asarray(lambdas, dtype=float)
     if lams.ndim != 1 or lams.size == 0:
@@ -168,7 +168,7 @@ def sweep_lambda(grid: Grid, r_star: float, gamma: float, lambdas) -> LambdaSwee
         else:
             msg = f"backward error {resids[j]:.3e} is above {_MAX_BACKWARD_ERROR:g}"
             failures.append((float(lam), msg))
-    residual = f0_at(r_star, r_star, gamma)
+    residual = f0_at(grid.r_star, grid.r_star, grid.gamma)
     grid_error, values[0] = abs(values[0] - residual), residual
     return LambdaSweep(
         lambdas=lams,
@@ -178,46 +178,3 @@ def sweep_lambda(grid: Grid, r_star: float, gamma: float, lambdas) -> LambdaSwee
         grid_error=float(grid_error),
         failures=failures,
     )
-
-
-def ode_residual(
-    f_lambda: np.ndarray,
-    grid: Grid,
-    lam: float,
-    r_star: float,
-    gamma: float,
-) -> float:
-    """Max residual of -lam f + f' + R^2 f'' = g(r*) - g(R) on the grid.
-
-    Derivatives use 3-point finite differences written for non-uniform
-    spacing (exact for quadratics).  The max excludes 5% of nodes at
-    each boundary, where the solution's boundary layers sit, and the
-    three stencils touching the snapped r* node: snapping displaces one
-    node by up to h/2, and a first-order spacing kink there would
-    otherwise mask the second-order interior convergence this residual
-    is meant to expose.
-    """
-    nodes = grid.nodes
-    n = nodes.size
-    if f_lambda.shape != (n,):
-        raise ValueError("f_lambda length does not match grid")
-    margin = max(1, int(round(0.05 * n)))
-    keep = np.zeros(n, dtype=bool)
-    keep[margin : n - margin] = True
-    keep[[max(grid.r_star_index - 1, 0), grid.r_star_index,
-          min(grid.r_star_index + 1, n - 1)]] = False
-    keep[[0, n - 1]] = False
-    if keep.sum() < 100:
-        warnings.warn("grid too coarse for a meaningful interior ODE residual")
-
-    hm = nodes[1:-1] - nodes[:-2]
-    hp = nodes[2:] - nodes[1:-1]
-    fm, fc, fp = f_lambda[:-2], f_lambda[1:-1], f_lambda[2:]
-    denom = hm * hp * (hm + hp)
-    d1 = (-fm * hp * hp + fc * (hp * hp - hm * hm) + fp * hm * hm) / denom
-    d2 = 2.0 * (fm * hp - fc * (hm + hp) + fp * hm) / denom
-    R = nodes[1:-1]
-    lhs = -lam * fc + d1 + R * R * d2
-    rhs = e1_scaled(1.0 / R) - e1_scaled(1.0 / r_star)
-    resid = np.abs(lhs - rhs)
-    return float(resid[keep[1:-1]].max())

@@ -16,19 +16,14 @@ import numpy as np
 class Grid:
     """Uniform grid on [r_min, A] with one node snapped onto r_star.
 
-    nodes[0] == r_min, nodes[-1] == threshold == r_star + gamma, and
+    nodes[0] == r_min, nodes[-1] == A == r_star + gamma, and
     nodes[r_star_index] == r_star exactly (the nearest interior node is
     moved there, so spacing is uniform except around that node).
     """
 
     nodes: np.ndarray
     r_star_index: int
-    threshold: float
-    r_min: float
-
-    @property
-    def n(self) -> int:
-        return self.nodes.size
+    gamma: float
 
     @property
     def r_star(self) -> float:
@@ -43,15 +38,16 @@ def make_grid(r_min: float, r_star: float, gamma: float, n: int) -> Grid:
     """
     if n < 3:
         raise ValueError("grid needs at least 3 nodes")
+    if not (np.isfinite(gamma) and gamma > 0.0):
+        raise ValueError("gamma must be positive and finite")
+    if not (np.isfinite(r_star) and r_star > 0.0):
+        raise ValueError("r_star must be positive and finite")
     if not (0.0 < r_min < r_star):
         raise ValueError("need 0 < r_min < r_star")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    threshold = r_star + gamma
-    nodes = np.linspace(r_min, threshold, n)
+    nodes = np.linspace(r_min, r_star + gamma, n)
     idx = int(np.argmin(np.abs(nodes - r_star)))
     idx = min(max(idx, 1), n - 2)
     nodes[idx] = r_star
     if not np.all(np.diff(nodes) > 0.0):
         raise ValueError("grid nodes are not strictly increasing after snapping")
-    return Grid(nodes=nodes, r_star_index=idx, threshold=threshold, r_min=r_min)
+    return Grid(nodes=nodes, r_star_index=idx, gamma=float(gamma))

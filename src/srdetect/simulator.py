@@ -730,7 +730,7 @@ def _estimate(values: np.ndarray, seed: int) -> McEstimate:
 def _lam_row(batch: SimBatch, lam: float) -> int:
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError("lam must be nonnegative and finite")
-    rows = np.flatnonzero(np.isclose(batch.lams, lam, rtol=0.0, atol=1e-15))
+    rows = np.flatnonzero(batch.lams == lam)
     if rows.size == 0:
         raise ValueError(f"batch has no discount rate {lam}")
     return int(rows[0])

@@ -1,20 +1,17 @@
-"""Scaled exponential integrals and the expected-delay kernel.
+"""The scaled exponential integral and the expected-delay kernel.
 
 The detection statistic takes values R in [2e-3, 520], so every formula is
-evaluated through the exponentially scaled integrals
+evaluated through the exponentially scaled integral
 
-    e1_scaled(x) = e^x  E1(x),      E1(x) = integral_x^inf e^-t / t dt,
-    ei_scaled(x) = e^-x Ei(x),      Ei(x) = PV integral_-inf^x e^t / t dt,
+    e1_scaled(x) = e^x E1(x),      E1(x) = integral_x^inf e^-t / t dt,
 
-whose values stay O(1) for reciprocal arguments x = 1/R up to 500.  Plain
-E1/Ei would overflow or underflow long before that.
+whose values stay O(1) for reciprocal arguments x = 1/R up to 500, where
+plain E1 is of order e^-500.  The paper's f0 integral of E1 d(Ei) is the
+integral of e1_scaled(x)/x dx (see calibration), so Ei is never evaluated.
 
-Evaluation regimes:
-
-* e1_scaled: power series for x <= 1, modified Lentz continued fraction above
-  (the continued fraction natively produces the scaled value).
-* ei_scaled: power series (all terms positive, no cancellation) for x <= 40,
-  optimally truncated asymptotic series in 1/x above (natively scaled).
+e1_scaled uses the power series for x <= 1 and the modified Lentz
+continued fraction above (the continued fraction natively produces the
+scaled value).
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import numpy as np
 
 EULER_GAMMA = 0.57721566490153286
 
-_SERIES_EPS = 1e-17
 # Update factors of the Lentz recurrence jitter at up to ~9e-16 from
 # rounding once converged, so the stop threshold must sit above that;
 # the geometric tail below 4e-15 contributes under 2e-14 relative.
@@ -110,54 +106,6 @@ def e1_scaled(x):
         out[lo] = np.exp(xs) * _e1_series(xs)
     if not lo.all():
         out[~lo] = _e1_scaled_large(arr[~lo])
-    return float(out[0]) if scalar else out
-
-
-def _ei_series_scaled(x: np.ndarray) -> np.ndarray:
-    # e^-x (gamma + ln x + sum_{n>=1} x^n / (n n!)); every series term is
-    # positive, so there is no cancellation even near the Ei zero at ~0.3725
-    # where the three leading pieces cancel to O(eps) absolutely.
-    s = EULER_GAMMA + np.log(x)
-    u = np.ones_like(x)
-    for n in range(1, 131):
-        u *= x / n
-        t = u / n
-        s += t
-        if np.all(t <= _SERIES_EPS * (np.abs(s) + 1.0)):
-            break
-    return np.exp(-x) * s
-
-
-def _ei_asymptotic_scaled(x: np.ndarray) -> np.ndarray:
-    # e^-x Ei(x) ~ (1/x) sum_{k>=0} k!/x^k, truncated at the smallest term.
-    # For x > 40 the smallest term is below 7e-17 relative.
-    s = np.ones_like(x)
-    term = np.ones_like(x)
-    active = np.ones(x.shape, dtype=bool)
-    for k in range(1, 81):
-        new = term * (k / x)
-        active &= new < term
-        s = np.where(active, s + new, s)
-        term = np.where(active, new, term)
-        active &= new > _SERIES_EPS * s
-        if not active.any():
-            break
-    return s / x
-
-
-def ei_scaled(x):
-    """Exponentially scaled integral e^-x Ei(x), for x > 0.
-
-    Crosses zero with Ei near x ~ 0.3725; for large x behaves like
-    1/x + 1/x^2 + O(1/x^3).
-    """
-    arr, scalar = _prep(x)
-    out = np.empty_like(arr)
-    lo = arr <= 40.0
-    if lo.any():
-        out[lo] = _ei_series_scaled(arr[lo])
-    if not lo.all():
-        out[~lo] = _ei_asymptotic_scaled(arr[~lo])
     return float(out[0]) if scalar else out
 
 

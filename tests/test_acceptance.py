@@ -4,7 +4,8 @@ Each criterion logs one PASS/FAIL line, so running this file prints a
 compact scoreboard of the numbers the package is expected to reproduce:
 the calibrated head starts, the asymptotic root, the sign of the
 perturbation value across discount rates, the differential refinement
-order, and the Monte Carlo agreement checks.
+order, the Monte Carlo agreement checks, and e1_scaled against its
+extended-precision oracle and its bracketing bounds (criterion 11).
 
 Heavy fixtures (lambda sweeps, 1e5-path batches) are module scoped and
 shared across criteria; expect a few minutes of total runtime.  Criteria
@@ -25,12 +26,12 @@ import pytest
 
 from srdetect import _checks
 from srdetect.calibration import asymptotic_r_star, calibrate
-from srdetect.fredholm import ode_residual, sweep_lambda
+from srdetect.fredholm import sweep_lambda
 from srdetect.quadrature import make_grid
 from srdetect.simulator import SimConfig, mc_f_lambda, mc_mean_stop_time, simulate_paths
-from srdetect.specfun import e1_scaled, ei_scaled
-from test_fredholm import f_nodes
-from test_specfun import oracle_e1_scaled, oracle_ei_scaled
+from srdetect.specfun import e1_scaled
+from test_fredholm import f_nodes, ode_residual
+from test_specfun import oracle_e1_scaled
 
 LOG = logging.getLogger("acceptance")
 
@@ -61,7 +62,7 @@ def sweep5(cal5):
     grid = make_grid(2e-3, res.r_star, 5.0, 2001)
     lams = np.linspace(0.0, 10.0, 101)[1:]
     t0 = time.perf_counter()
-    sweep = sweep_lambda(grid, res.r_star, 5.0, lams)
+    sweep = sweep_lambda(grid, lams)
     return sweep, time.perf_counter() - t0
 
 
@@ -71,7 +72,7 @@ def sweep20(cal20):
     grid = make_grid(2e-3, res.r_star, 20.0, 4001)
     lams = np.linspace(0.0, 10.0, 201)[1:]
     t0 = time.perf_counter()
-    sweep = sweep_lambda(grid, res.r_star, 20.0, lams)
+    sweep = sweep_lambda(grid, lams)
     return sweep, time.perf_counter() - t0
 
 
@@ -119,7 +120,7 @@ def batch_f(cal5):
 def fred_vals(cal5):
     res, _ = cal5
     grid = make_grid(2e-3, res.r_star, 5.0, 2001)
-    sweep = sweep_lambda(grid, res.r_star, 5.0, [0.5, 2.0, 8.0])
+    sweep = sweep_lambda(grid, [0.5, 2.0, 8.0])
     return dict(zip(sweep.lambdas[1:].tolist(), sweep.values[1:].tolist()))
 
 
@@ -186,7 +187,7 @@ def test_criterion_06_refinement_order(cal5):
     resids = {}
     for n in (2001, 4001):
         grid = make_grid(2e-3, res.r_star, 5.0, n)
-        resids[n] = ode_residual(f_nodes(grid, 1.0), grid, 1.0, res.r_star, 5.0)
+        resids[n] = ode_residual(f_nodes(grid, 1.0), grid, 1.0)
     ratio = resids[2001] / resids[4001]
     ok = 3.0 <= ratio <= 5.0
     report(6, "differential residual refines at 2nd order", ok,
@@ -241,14 +242,8 @@ def test_criterion_11_special_function_oracles():
     ref1 = np.array([float(oracle_e1_scaled(float(x))) for x in xs])
     err1 = float(np.max(np.abs(e1 - ref1) / ref1))
 
-    xe = np.logspace(-8, math.log10(500.0), 10_000)
-    ei = ei_scaled(xe)
-    refe = np.array([float(oracle_ei_scaled(float(x))) for x in xe])
-    scale = np.maximum(np.abs(refe), 1.0 / xe)
-    erre = float(np.max(np.abs(ei - refe) / scale))
-
     lower = xs / (xs + 1.0)
     bracket = bool(np.all(lower < xs * e1) and np.all(xs * e1 < 1.0))
-    ok = err1 <= 1e-12 and erre <= 1e-12 and bracket
+    ok = err1 <= 1e-12 and bracket
     report(11, "scaled exponential integrals match oracles", ok,
-           f"e1 rel={err1:.2e}, ei rel={erre:.2e}, bracketing={'ok' if bracket else 'BAD'}")
+           f"e1 rel={err1:.2e}, bracketing={'ok' if bracket else 'BAD'}")

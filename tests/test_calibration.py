@@ -157,14 +157,14 @@ def test_f0_at_matches_log_quadrature_oracle():
     res = calibrate(5.0)
     r_star = res.r_star
     grid = make_grid(2e-3, r_star, 5.0, 2001)
-    A = grid.threshold
+    A = grid.nodes[-1]
     slope = 1.0 - np.exp(1.0 / r_star) * special.exp1(1.0 / r_star)
 
     def integrand(u):
         x = np.exp(u)
         return np.exp(x) * special.exp1(x)
 
-    idx = [0, 1, 4, 250, grid.r_star_index, 700, 1200, 1900, grid.n - 2]
+    idx = [0, 1, 4, 250, grid.r_star_index, 700, 1200, 1900, grid.nodes.size - 2]
     R = grid.nodes[idx]
     got = f0_at(R, np.full(R.size, r_star), 5.0)
     assert got[idx.index(grid.r_star_index)] == res.residual

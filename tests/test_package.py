@@ -1,7 +1,12 @@
 """The package namespace."""
 
+import ast
+import importlib
+import inspect
+import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +25,42 @@ def test_public_names_are_pinned():
     assert sorted(srdetect.__all__) == sorted([
         "CalibrationResult", "Grid", "HorizonCapError", "LambdaSweep", "McEstimate",
         "SimBatch", "SimConfig", "asymptotic_r_star", "calibrate", "detect_stream",
-        "e1_scaled", "ei_scaled", "f0_at", "g", "make_grid", "mc_f_lambda",
+        "e1_scaled", "f0_at", "g", "make_grid", "mc_f_lambda",
         "mc_mean_stop_time", "simulate_paths", "sweep_lambda", "__version__",
     ])
+
+
+def _names_read_outside_own_definition() -> set[str]:
+    """Names the package's code reads, leaving out each top-level definition's
+    references to itself; imports and comments do not count."""
+    names = set()
+    for path in Path(srdetect.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    names.add(name)
+    return names
+
+
+def test_public_definitions_are_exported_or_used():
+    # a public function or class that only tests reach belongs in the tests
+    used = _names_read_outside_own_definition()
+    orphans = []
+    for info in pkgutil.iter_modules(srdetect.__path__):
+        mod = importlib.import_module(f"srdetect.{info.name}")
+        for attr, obj in vars(mod).items():
+            if (not attr.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__ == mod.__name__
+                    and attr not in srdetect.__all__ and attr not in used):
+                orphans.append(f"{mod.__name__}.{attr}")
+    assert orphans == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -673,6 +673,11 @@ def test_estimators_require_matching_batch():
     rate_one = simulate_paths(R_STAR, GAMMA, replace(cfg, n_paths=20), lams=(1.0,))
     with pytest.raises(ValueError, match="no discount rate"):
         _checks.martingale(rate_one)
+    # rates match exactly: 1e-16 reads its own row, not rate 0's
+    pair = simulate_paths(R_STAR, GAMMA, replace(cfg, n_paths=20), lams=(0.0, 1e-16))
+    assert simulator._lam_row(pair, 1e-16) == 1
+    with pytest.raises(ValueError, match="no discount rate"):
+        mc_f_lambda(pair, 1e-17)
 
 
 def _cross_fit_reference(values, controls):
