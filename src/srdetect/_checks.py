@@ -46,7 +46,7 @@ def martingale(batch: SimBatch) -> Row:
     """
     simulator._require_pre_change(batch, "martingale")
     z = batch.z[0, simulator._lam_row(batch, 0.0)]
-    est = simulator._estimate(z, batch.config.seed)
+    est = simulator._estimate(z)
     return "martingale", est, 0.0, _within(est, 0.0, 3.0)
 
 

@@ -105,32 +105,27 @@ def cmd_verify(args) -> int:
                      "(the sweep is over (0, lambda-max])", 2)
 
     try:
-        if args.r_star is not None:
-            r_star = args.r_star
-            residual = f0_at(r_star, r_star, gamma)
-        else:
-            res = calibrate(gamma)
-            r_star, residual = res.r_star, res.residual
-        out = _out_dir(args.out)
-
-        scan_r = np.linspace(0.05, 2.3, args.scan_n)
-        scan_vals = f0_at(scan_r, scan_r, gamma).tolist()
-        scan_path = out / "f0_scan.csv"
-        _write_csv(scan_path, ["r", "f0"], zip(scan_r.tolist(), scan_vals))
-
+        r_star = args.r_star if args.r_star is not None else calibrate(gamma).r_star
+        # the grid is built before any file is written, so bad input leaves none
         grid = make_grid(args.r_min, r_star, gamma, grid_n)
         lams = np.linspace(0.0, args.lambda_max, lambda_count + 1)[1:]
         sweep = sweep_lambda(grid, lams)
+        scan_r = np.linspace(0.05, 2.3, args.scan_n)
+        scan_vals = f0_at(scan_r, scan_r, gamma).tolist()
     except ValueError as exc:
         return _fail(str(exc), 2)
 
+    out = _out_dir(args.out)
+    scan_path = out / "f0_scan.csv"
+    _write_csv(scan_path, ["r", "f0"], zip(scan_r.tolist(), scan_vals))
     sweep_path = out / "lambda_sweep.csv"
     _write_csv(
         sweep_path,
         ["lambda", "f_lambda_r_star"],
         zip(sweep.lambdas.tolist(), sweep.values.tolist()),
     )
-    print(f"gamma={gamma:g}: r_star={r_star:.6f}, f0(r_star)={residual:.3e}")
+    # the sweep's lambda = 0 row is f0(r_star), the calibration residual
+    print(f"gamma={gamma:g}: r_star={r_star:.6f}, f0(r_star)={sweep.values[0]:.3e}")
     print(f"wrote {scan_path} and {sweep_path}")
     for lam, msg in sweep.failures:
         print(f"solve failed at lambda={lam:g}: {msg}", file=sys.stderr)

@@ -34,7 +34,7 @@ def make_grid(r_min: float, r_star: float, gamma: float, n: int) -> Grid:
     """Build an n-point grid on [r_min, r_star + gamma] containing r_star.
 
     The snap target is clipped to the interior so the endpoints are never
-    displaced.  Requires 0 < r_min < r_star and n >= 3.
+    displaced.  Requires 0 < r_min < r_star, n >= 3 and r_star + gamma > r_star.
     """
     if n < 3:
         raise ValueError("grid needs at least 3 nodes")
@@ -44,6 +44,8 @@ def make_grid(r_min: float, r_star: float, gamma: float, n: int) -> Grid:
         raise ValueError("r_star must be positive and finite")
     if not (0.0 < r_min < r_star):
         raise ValueError("need 0 < r_min < r_star")
+    if r_star + gamma == r_star:
+        raise ValueError(f"gamma={gamma:g} is below the resolution of r_star={r_star:g}")
     nodes = np.linspace(r_min, r_star + gamma, n)
     idx = int(np.argmin(np.abs(nodes - r_star)))
     idx = min(max(idx, 1), n - 2)

@@ -49,14 +49,6 @@ block size or the slab size, and do not depend on how many chunks run
 or in what order they are reduced.  The bridge draws come from a
 counter-based hash of (seed, chunk, path, step), made only on the few
 steps with an end near A, so they leave the stream of normals as it is.
-
-The noiseless mode replaces du by its information skeleton: du = 0
-before the change (the likelihood ratio stays flat, so R_t = r* + t and
-the alarm fires at exactly gamma steps' worth of time) and
-du = +(mu^2/2) dt after it, and it makes no bridge draws.  Note this is
-not the same as feeding zero observation increments, which gives
-du = -(mu^2/2) dt and drives the statistic to its fixed point near 1
-without ever alarming.
 """
 
 from __future__ import annotations
@@ -97,7 +89,6 @@ class SimConfig:
     seed: int = 0
     n_paths: int = 100_000
     regime: str = "pre_change"
-    noiseless: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0.0):
@@ -121,7 +112,6 @@ class McEstimate:
     mean: float
     std_err: float
     n_paths: int
-    seed: int
     variance_ratio: float = 1.0
 
 
@@ -333,14 +323,6 @@ def _kill_uniforms(key: np.ndarray, slots: np.ndarray, steps: np.ndarray) -> np.
     return u
 
 
-def _first_row(stop):
-    """The first row of the mask stop with a True in it, and its columns; or (None, None)."""
-    rows, at = np.nonzero(stop)
-    if rows.size == 0:
-        return None, None
-    return rows[0], at[rows == rows[0]]
-
-
 def _first_stops(H, A, a_near, kill_scale, key, slots, k):
     """The first step-row of the block H with a stop, and who stops in it, where.
 
@@ -348,11 +330,12 @@ def _first_stops(H, A, a_near, kill_scale, key, slots, k):
     when it crosses A on the grid, at its ln-R interpolation point, or when
     its kill draw u(slot, k + j) of _kill_uniforms falls below the bridge
     crossing probability exp(kill_scale ln(A/H[j]) ln(A/H[j + 1])), at
-    mid-step; key None draws no kills.  Draws are made in the columns that
-    reach a_near, for every row of the block at once; a step with both
-    ends below a_near has a probability under 3e-20, below any draw, so it
-    never stops a path.  Returns (J, columns, fractions) with J - 1 the
-    stop row, or (b, None, None) when no path of the b rows stops.
+    mid-step; a crossing on the grid has probability 1, so it always stops.
+    Draws are made in the columns that reach a_near, for every row of the
+    block at once; a step with both ends below a_near has a probability
+    under 3e-20, below any draw, so it never stops a path.  Returns
+    (J, columns, fractions) with J - 1 the stop row, or (b, None, None)
+    when no path of the b rows stops.
     """
     b = H.shape[0] - 1
     cols = np.flatnonzero((H >= a_near).any(axis=0))
@@ -362,17 +345,16 @@ def _first_stops(H, A, a_near, kill_scale, key, slots, k):
     # l[j] = ln(A / H[j]), exact under a common power-of-two scaling of A and H
     l = np.divide(A, Hc)
     np.log(l, out=l)
-    if key is None:
-        row, at = _first_row(Hc[1:] >= A)
-    else:
-        p = l[:-1] * l[1:]
-        np.maximum(p, 0.0, out=p)
-        p *= kill_scale
-        np.exp(p, out=p)
-        steps = np.arange(k, k + p.shape[0])[:, None]
-        row, at = _first_row(_kill_uniforms(key, slots[cols], steps) < p)
-    if row is None:
+    p = l[:-1] * l[1:]
+    np.maximum(p, 0.0, out=p)
+    p *= kill_scale
+    np.exp(p, out=p)
+    steps = np.arange(k, k + p.shape[0])[:, None]
+    rows, at = np.nonzero(_kill_uniforms(key, slots[cols], steps) < p)
+    if rows.size == 0:
         return b, None, None
+    row = rows[0]
+    at = at[rows == row]
     frac = np.full(at.size, 0.5)
     crossed = Hc[row + 1, at] >= A
     if crossed.any():
@@ -556,11 +538,8 @@ def _simulate_chunk(
     A = r_star + gamma
     dt = cfg.dt
     half_drift = 0.5 * SQRT2 * SQRT2 * dt
-    post = cfg.regime == "post_change"
-    # du has mean -half_drift before the change and +half_drift after it;
-    # the noiseless skeleton keeps only the post-change gain (du = 0 before)
-    drift = half_drift if post else -half_drift
-    e_skeleton = math.exp(half_drift) if post else 1.0
+    # du has mean -half_drift before the change and +half_drift after it
+    drift = half_drift if cfg.regime == "post_change" else -half_drift
     sig = SQRT2 * math.sqrt(dt)
     t_max = cfg.t_max if cfg.t_max is not None else 100.0 * gamma
     n_steps = int(math.ceil(t_max / dt))
@@ -569,14 +548,10 @@ def _simulate_chunk(
     kill_scale = -2.0 / (sig * sig)
     stride = _stride(dt)
 
-    if cfg.noiseless:
-        noise = key = None
-        coef = _moment_powers(dt, math.log(e_skeleton), 0.0, stride)
-    else:
-        philox = np.random.Philox(key=np.array([cfg.seed & _KEY_MASK, chunk_index], dtype=np.uint64))
-        noise = _NoiseRing(np.random.Generator(philox), sig, drift, dt, pool)
-        key = _kill_key(cfg.seed, chunk_index)
-        coef = _moment_powers(dt, drift, sig * sig, stride)
+    philox = np.random.Philox(key=np.array([cfg.seed & _KEY_MASK, chunk_index], dtype=np.uint64))
+    noise = _NoiseRing(np.random.Generator(philox), sig, drift, dt, pool)
+    key = _kill_key(cfg.seed, chunk_index)
+    coef = _moment_powers(dt, drift, sig * sig, stride)
 
     # compact state (alive paths only); idx maps back to output slots
     R = np.full(m, float(r_star))
@@ -608,12 +583,7 @@ def _simulate_chunk(
     while k < n_steps and R.size:
         n = R.size
         B = min(B, n_steps - k, max(1, _BLOCK_CAP // n))
-        if noise is None:
-            E = np.full((B, 1), e_skeleton)
-            C = E + 1.0
-            C *= 0.5 * dt
-        else:
-            E, C = noise.rows(n, B)
+        E, C = noise.rows(n, B)
         b = E.shape[0]
         # one step: R' = e R + (dt/2)(e + 1), row j + 1 of H from row j
         H = np.empty((b + 1, n))
@@ -653,8 +623,7 @@ def _simulate_chunk(
             r_mark = x[-1]
             z_w = D[at[-1] + 1] * decay_stride
 
-        if noise is not None:
-            noise.advance(J * n)
+        noise.advance(J * n)
         k += J
         R = H[J]
         disc = D[J]
@@ -677,8 +646,7 @@ def _simulate_chunk(
             B = 2 * J
         else:
             B = 2 * B
-    if noise is not None:
-        noise.close()
+    noise.close()
 
     if R.size:
         out_r[idx] = R
@@ -721,10 +689,10 @@ def simulate_paths(r_star: float, gamma: float, config: SimConfig, lams=(0.0,)) 
     return SimBatch(*cols, lams=lams, r_star=r_star, gamma=gamma, config=config)
 
 
-def _estimate(values: np.ndarray, seed: int) -> McEstimate:
+def _estimate(values: np.ndarray) -> McEstimate:
     n = values.size
     se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
-    return McEstimate(mean=float(np.mean(values)), std_err=se, n_paths=n, seed=seed)
+    return McEstimate(mean=float(np.mean(values)), std_err=se, n_paths=n)
 
 
 def _lam_row(batch: SimBatch, lam: float) -> int:
@@ -757,7 +725,7 @@ def mc_mean_stop_time(batch: SimBatch) -> McEstimate:
     since capping biases the mean downward.
     """
     _check_cap(batch, "mc_mean_stop_time")
-    return _estimate(batch.stop_time, batch.config.seed)
+    return _estimate(batch.stop_time)
 
 
 def _cross_fit(values: np.ndarray, controls: np.ndarray) -> np.ndarray:
@@ -782,7 +750,7 @@ def _cross_fit(values: np.ndarray, controls: np.ndarray) -> np.ndarray:
         x, y = X[fit], values[fit]
         x = x - x.mean(axis=0)
         rms = np.sqrt(np.mean(x * x, axis=0))
-        # a control constant over the paths (a noiseless batch) is all zero
+        # a control constant over these paths centres to all zero: scale 1 avoids 0/0
         rms[rms == 0.0] = 1.0
         beta = np.linalg.lstsq(x / rms, y - y.mean(), rcond=None)[0] / rms
         out[use] = values[use] - X[use] @ beta
@@ -806,7 +774,7 @@ def mc_f_lambda(batch: SimBatch, lam: float) -> McEstimate:
     fitted = _cross_fit(values, batch.z[:, j])
     var = float(np.var(fitted))
     ratio = float(np.var(values)) / var if var > 0.0 else 1.0
-    return replace(_estimate(fitted, batch.config.seed), variance_ratio=ratio)
+    return replace(_estimate(fitted), variance_ratio=ratio)
 
 
 def detect_stream(increments, r_star: float, gamma: float) -> tuple[bool, float, float]:

@@ -127,7 +127,7 @@ def test_verify_reports_factorization_failure(tmp_path, capsys, monkeypatch):
     assert "FAIL (0/2 values below)" in captured.out
 
 
-def test_verify_accepts_explicit_r_star(tmp_path):
+def test_verify_accepts_explicit_r_star(tmp_path, capsys):
     rc = main([
         "verify", "--gamma", "2", "--r-star", "0.7868", "--grid-n", "301",
         "--lambda-count", "5", "--scan-n", "5",
@@ -135,7 +135,17 @@ def test_verify_accepts_explicit_r_star(tmp_path):
     ])
     assert rc == 0
     _, rows = read_csv(tmp_path / "lambda_sweep.csv")
-    assert float(rows[0][1]) == pytest.approx(f0_at(0.7868, 0.7868, 2.0), abs=1e-12)
+    f0 = f0_at(0.7868, 0.7868, 2.0)
+    assert float(rows[0][1]) == pytest.approx(f0, abs=1e-12)
+    assert f"f0(r_star)={f0:.3e}" in capsys.readouterr().out
+
+
+def test_verify_rejects_gamma_below_the_resolution_of_r_star(tmp_path, capsys):
+    # A = r* + gamma rounds to r*: the run stops before it writes a file
+    out = tmp_path / "out"
+    assert main(["verify", "--gamma", "1e-17", "--r-star", "1", "--out", str(out)]) == 2
+    assert "gamma=1e-17 is below the resolution of r_star=1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_argument_errors(tmp_path, capsys):
@@ -185,8 +195,7 @@ def test_simulate_argument_errors(tmp_path, capsys):
                  "--lambda", "1.0", "--n-paths", "500",
                  "--out", str(tmp_path / "y.csv")]) == 0
     assert "equalizer(r=3)" in capsys.readouterr().out
-    # the head starts are fixed, and the noiseless skeleton has no
-    # statistical checks to run
+    # the head starts are fixed, and there is no noiseless mode
     for flags in (["--r", "3"], ["--noiseless"]):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--gamma", "2", *flags, "--out", str(tmp_path / "z.csv")])
@@ -235,7 +244,7 @@ def test_simulate_gates_sit_at_their_widths(tmp_path, capsys, monkeypatch, check
     z, se = side * (k + offset), 0.01
 
     def shifted(*args, **kwargs):
-        return McEstimate(mean=target + z * se, std_err=se, n_paths=200, seed=0)
+        return McEstimate(mean=target + z * se, std_err=se, n_paths=200)
 
     monkeypatch.setattr(_checks.simulator, estimator, shifted)
     out = tmp_path / "gate.csv"

@@ -1,6 +1,7 @@
 """The package namespace."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -28,6 +29,15 @@ def test_public_names_are_pinned():
         "e1_scaled", "f0_at", "g", "make_grid", "mc_f_lambda",
         "mc_mean_stop_time", "simulate_paths", "sweep_lambda", "__version__",
     ])
+
+
+def test_config_fields_are_pinned():
+    # a knob that only tests set is a constant; adding a field is a
+    # deliberate edit of these lists
+    assert [f.name for f in dataclasses.fields(srdetect.SimConfig)] == [
+        "dt", "t_max", "seed", "n_paths", "regime"]
+    assert [f.name for f in dataclasses.fields(srdetect.McEstimate)] == [
+        "mean", "std_err", "n_paths", "variance_ratio"]
 
 
 def _names_read_outside_own_definition() -> set[str]:

@@ -43,6 +43,7 @@ _BAD_ARGUMENTS = [
     (0.5, np.nan, 5.0, 11, "r_star must be positive and finite"),
     (0.5, np.inf, 5.0, 11, "r_star must be positive and finite"),
     (0.5, 1.0, 5.0, 2, "at least 3 nodes"),
+    (0.5, 1.0, 1e-17, 11, "below the resolution of r_star"),
 ]
 
 

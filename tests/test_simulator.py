@@ -1,10 +1,10 @@
 """Path simulation: exact chain identities, regimes, and estimators.
 
-The strongest checks here are deterministic: the noiseless skeleton
-alarms at exactly gamma, and the library, which steps its paths in time
-blocks from noise a helper thread fills ahead in slabs, must match the
-per-step loop below, reading g from a two-gather table, bit for bit at
-any chunk, block and slab size.
+The strongest checks here are deterministic: the library, which steps
+its paths in time blocks from noise a helper thread fills ahead in
+slabs, must match the per-step loop below, reading g from a two-gather
+table, bit for bit at any chunk, block and slab size; and a block whose
+path jumps across A stops it at the ln-R interpolation point, to the bit.
 """
 
 import itertools
@@ -78,7 +78,6 @@ def _reference_chunk(r_star, gamma, cfg, lams, chunk_index, m, lookup):
     half_drift = 0.5 * SQRT2 * SQRT2 * dt
     post = cfg.regime == "post_change"
     drift = half_drift if post else -half_drift
-    e_skeleton = math.exp(half_drift) if post else 1.0
     sig = SQRT2 * math.sqrt(dt)
     t_max = cfg.t_max if cfg.t_max is not None else 100.0 * gamma
     n_steps = int(math.ceil(t_max / dt))
@@ -87,11 +86,8 @@ def _reference_chunk(r_star, gamma, cfg, lams, chunk_index, m, lookup):
     kill_scale = -2.0 / (sig * sig)
     stride = simulator._stride(dt)
     degree = simulator._DEGREE
-    if cfg.noiseless:
-        coef = simulator._moment_powers(dt, math.log(e_skeleton), 0.0, stride)
-    else:
-        coef = simulator._moment_powers(dt, drift, sig * sig, stride)
-        key = simulator._kill_key(cfg.seed, chunk_index)
+    coef = simulator._moment_powers(dt, drift, sig * sig, stride)
+    key = simulator._kill_key(cfg.seed, chunk_index)
 
     def moments(c, x):
         # Horner's rule from c[degree] on every row; the engine starts each
@@ -123,10 +119,7 @@ def _reference_chunk(r_star, gamma, cfg, lams, chunk_index, m, lookup):
 
     for k in range(n_steps):
         g_dt = lookup(R) * dt
-        if cfg.noiseless:
-            e = e_skeleton
-        else:
-            e = np.exp(drift + sig * rng.standard_normal(R.size))
+        e = np.exp(drift + sig * rng.standard_normal(R.size))
         R_next = e * R + (0.5 * dt) * (e + 1.0)
         disc_next = disc * decay
 
@@ -134,11 +127,10 @@ def _reference_chunk(r_star, gamma, cfg, lams, chunk_index, m, lookup):
         lb = np.log(A / R_next)
         crossed = R_next >= A
         stop = crossed.copy()
-        if not cfg.noiseless:
-            near = np.flatnonzero((R >= a_near) | (R_next >= a_near))
-            p = np.exp(np.maximum(la[near] * lb[near], 0.0) * kill_scale)
-            u = simulator._kill_uniforms(key, idx[near], np.int64(k))
-            stop[near] |= u < p
+        near = np.flatnonzero((R >= a_near) | (R_next >= a_near))
+        p = np.exp(np.maximum(la[near] * lb[near], 0.0) * kill_scale)
+        u = simulator._kill_uniforms(key, idx[near], np.int64(k))
+        stop[near] |= u < p
         frac = np.where(crossed, la / np.where(crossed, la - lb, 1.0), 0.5)
         g_dt[stop] *= frac[stop]
         int_g_disc += disc[:, None] * g_dt[None, :]
@@ -244,23 +236,6 @@ def test_config_validation(kwargs):
         SimConfig(**kwargs)
 
 
-def test_noiseless_skeleton_alarms_at_gamma():
-    cfg = SimConfig(dt=1e-3, n_paths=3, noiseless=True)
-    batch = simulate_paths(R_STAR, GAMMA, cfg)
-    assert batch.stopped.all()
-    assert np.allclose(batch.stop_time, GAMMA, rtol=0.0, atol=1e-9)
-    assert np.all(batch.r_at_stop >= R_STAR + GAMMA)
-
-
-def test_noiseless_post_change_alarms_early():
-    cfg = SimConfig(dt=1e-3, n_paths=2, noiseless=True, regime="post_change")
-    batch = simulate_paths(R_STAR, GAMMA, cfg)
-    assert batch.stopped.all()
-    assert np.all(batch.stop_time < GAMMA / 2)
-    # deterministic: every path identical
-    assert batch.stop_time[0] == batch.stop_time[1]
-
-
 def test_bit_reproducible(monkeypatch):
     monkeypatch.setattr(simulator, "_CHUNK", 256)
     cfg = SimConfig(dt=1e-3, seed=11, n_paths=700)
@@ -278,10 +253,6 @@ _ENGINE_CASES = {
                             SimConfig(dt=2e-3, seed=3, n_paths=300)),
     "post_change, 1 rate": (R_STAR, GAMMA, (0.0,),
                             SimConfig(dt=2e-3, seed=4, n_paths=400, regime="post_change")),
-    "noiseless": (R_STAR, GAMMA, (0.0, 1.0), SimConfig(dt=2e-3, n_paths=3, noiseless=True)),
-    "noiseless post_change": (R_STAR, GAMMA, (0.5,),
-                              SimConfig(dt=2e-3, n_paths=2, noiseless=True,
-                                        regime="post_change")),
     "t_max capped": (1.524, 20.0, (0.0, 0.5),
                      SimConfig(dt=2e-3, seed=5, n_paths=200, t_max=3.0)),
     "1-path chunk": (R_STAR, GAMMA, (0.0, 0.5), SimConfig(dt=2e-3, seed=6, n_paths=1)),
@@ -310,9 +281,7 @@ def test_blocked_engine_matches_per_step_loop_bitwise(case, monkeypatch):
         assert 0.0 < ref[2].mean() < 1.0
     step, frac, stopped, r_at_stop = ref[:4]
     killed = stopped & (r_at_stop < r_star + gamma)
-    if cfg.noiseless:
-        assert not killed.any()
-    elif cfg.n_paths >= 200:
+    if cfg.n_paths >= 200:
         # bridge kills at mid-step, grid crossings inside the step, and
         # stops between two marks of the controls
         assert killed.any() and np.all(frac[killed] == 0.5)
@@ -504,6 +473,28 @@ def test_first_stops_return_the_first_row_with_a_kill(monkeypatch):
         assert 2 in cols and not {0, 1, 3} & set(cols.tolist())
 
 
+@pytest.mark.parametrize("row", [0, 2])
+def test_first_stops_place_a_grid_crossing_at_its_ln_r_interpolation_point(row):
+    # column 1 jumps in one row from far below the near band to above A;
+    # columns 0 and 2 stay far below A.  The crossing row's bridge
+    # probability is 1, so the real kill draws stop it whatever they are,
+    # and the rows before it (probability 0 after underflow) never do
+    A, dt = 6.0, 1e-3
+    sig2 = 2.0 * dt
+    a_near = A * math.exp(-math.sqrt(simulator._NEAR * sig2))
+    H = np.full((5, 3), 1.0)
+    H[row, 1], H[row + 1 :, 1] = 2.0, 7.5
+    assert H[row, 1] < a_near < A < H[row + 1, 1]
+    key = simulator._kill_key(4, 2)
+    J, cols, frac = simulator._first_stops(H, A, a_near, -2.0 / sig2, key, np.arange(3),
+                                           np.int64(300))
+    assert J - 1 == row and cols.tolist() == [1]
+    # ln(A / H) as the engine forms it, on the same (rows, 1) column
+    l = np.log(np.divide(A, H[:, cols]))[:, 0]
+    la, lb = l[row], l[row + 1]
+    assert frac.tolist() == [la / (la - lb)] and 0.5 < frac[0] < 1.0
+
+
 @pytest.mark.parametrize("cols", [[], [0], [5], [11], [0, 11], [2, 3, 7], list(range(0, 12, 2))
                                   + [11, 3, 5, 7], list(range(12))])
 def test_without_drops_the_columns_and_keeps_the_order(cols):
@@ -548,21 +539,6 @@ def test_helper_thread_is_joined_on_return_and_on_error(monkeypatch):
     with pytest.raises(RuntimeError, match="lookup failed"):
         simulate_paths(R_STAR, GAMMA, cfg)
     assert alive[-1] == start + 1
-    assert threading.active_count() == start
-
-
-def test_noiseless_run_starts_no_thread(monkeypatch):
-    def no_start(self):
-        raise AssertionError("a thread was started")
-
-    start = threading.active_count()
-    def no_draw(*args):
-        raise AssertionError("a bridge kill was drawn")
-
-    monkeypatch.setattr(threading.Thread, "start", no_start)
-    monkeypatch.setattr(simulator, "_kill_uniforms", no_draw)
-    batch = simulate_paths(R_STAR, GAMMA, SimConfig(dt=1e-2, n_paths=5, noiseless=True))
-    assert batch.stopped.all() and batch.killed_fraction == 0.0
     assert threading.active_count() == start
 
 
@@ -622,7 +598,7 @@ def test_post_change_delay_equals_stop_time():
     assert batch.stopped.all()
     est = mc_mean_stop_time(batch)
     assert est.mean == np.mean(batch.stop_time)
-    assert (est.n_paths, est.seed) == (200, 4)
+    assert est.n_paths == 200
 
 
 def test_discounted_integrals_ordered_and_consistent():
@@ -694,7 +670,7 @@ def test_estimators_read_r_star_gamma_and_seed_from_batch():
     cfg = SimConfig(dt=1e-3, seed=1, n_paths=300)
     batch = simulate_paths(R_STAR, GAMMA, cfg, lams=(0.0,))
     est = mc_f_lambda(batch, 0.0)
-    assert est.seed == 1 and est.n_paths == 300
+    assert est.n_paths == 300
     g_star = g(R_STAR, R_STAR, GAMMA)
     plain = batch.int_g_disc[0] - g_star * batch.int_disc[0]
     # the cross-fitted control-variate mean of the plain values
@@ -703,7 +679,7 @@ def test_estimators_read_r_star_gamma_and_seed_from_batch():
     assert est.std_err == pytest.approx(np.std(fitted, ddof=1) / math.sqrt(300), rel=1e-9)
     assert est.variance_ratio == pytest.approx(np.var(plain) / np.var(fitted), rel=1e-9)
     mart = _checks.martingale(batch)[1]
-    assert (mart.seed, mart.n_paths) == (1, 300)
+    assert mart.n_paths == 300
     diff = batch.r_at_stop - R_STAR - batch.stop_step * cfg.dt
     assert mart.mean == pytest.approx(np.mean(diff), rel=0.0, abs=1e-11)
     assert mart.std_err == pytest.approx(np.std(diff, ddof=1) / math.sqrt(300), rel=1e-9)
