@@ -8,14 +8,16 @@ verify      lambda-sweep the solved perturbation value f_lambda(r*) and
 simulate    Monte Carlo statistical checks of the calibrated procedure
 detect      run the detector over a CSV of observation increments
 
-Exit codes: 0 success, 2 bad arguments or calibration failure (in
-simulate also a horizon that caps paths), 3 sign violation in verify, 4
-failed statistical check in simulate, 5 missing or malformed detect
-input.  detect resolves the head start before it opens its input, so a
-bad --gamma or --r-star exits 2; it then reads its input in blocks of
-rows and still stops at the alarm, so only rows up to the alarm can
-exit 5.  Output files are CSV; they land in the location named by --out
-or, by default, under $SRDETECT_OUT or the working directory.
+Exit codes: 0 success, 2 bad arguments, calibration failure or an
+--out that cannot be written (in simulate also a horizon that caps
+paths), 3 sign violation in verify, 4 failed statistical check in
+simulate, 5 missing or malformed detect input.  detect resolves the
+head start before it opens its input, so a bad --gamma or --r-star
+exits 2; it then reads its input in blocks of rows and still stops at
+the alarm, so only rows up to the alarm can exit 5.  Output files are
+CSV; they land in the location named by --out or, by default, under
+$SRDETECT_OUT or the working directory, and missing parent directories
+are created.
 """
 
 from __future__ import annotations
@@ -53,19 +55,27 @@ _CHECK_NAMES = ("stoptime", "martingale", "flambda", "equalizer")
 _BLOCK_LINES = 4096  # detect input lines per np.loadtxt call
 
 
-def _out_dir(explicit: str | None) -> Path:
-    base = explicit if explicit is not None else os.environ.get("SRDETECT_OUT", ".")
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
+class _OutputError(Exception):
+    """An output file that cannot be written."""
+
+
+def _write_csv(out: str | None, name: str, header: list[str], rows, out_is_dir=False) -> Path:
+    """Write to the --out file, or to name in the --out directory, $SRDETECT_OUT
+    or '.', creating missing parent directories; return the path written."""
+    if out and not out_is_dir:
+        path = Path(out)
+    else:
+        path = Path(out or os.environ.get("SRDETECT_OUT", ".")) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc}") from exc
     return path
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
 
 
 def _fail(msg: str, code: int) -> int:
@@ -78,9 +88,8 @@ def cmd_calibrate(args) -> int:
         res = calibrate(args.gamma)
     except ValueError as exc:
         return _fail(str(exc), 2)
-    out = Path(args.out) if args.out else _out_dir(None) / "calibration.csv"
-    _write_csv(
-        out,
+    out = _write_csv(
+        args.out, "calibration.csv",
         ["gamma", "r_star", "residual", "iterations"],
         [[res.gamma, res.r_star, res.residual, res.iterations]],
     )
@@ -115,15 +124,10 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         return _fail(str(exc), 2)
 
-    out = _out_dir(args.out)
-    scan_path = out / "f0_scan.csv"
-    _write_csv(scan_path, ["r", "f0"], zip(scan_r.tolist(), scan_vals))
-    sweep_path = out / "lambda_sweep.csv"
-    _write_csv(
-        sweep_path,
-        ["lambda", "f_lambda_r_star"],
-        zip(sweep.lambdas.tolist(), sweep.values.tolist()),
-    )
+    scan_path = _write_csv(args.out, "f0_scan.csv", ["r", "f0"],
+                           zip(scan_r.tolist(), scan_vals), out_is_dir=True)
+    sweep_path = _write_csv(args.out, "lambda_sweep.csv", ["lambda", "f_lambda_r_star"],
+                            zip(sweep.lambdas.tolist(), sweep.values.tolist()), out_is_dir=True)
     # the sweep's lambda = 0 row is f0(r_star), the calibration residual
     print(f"gamma={gamma:g}: r_star={r_star:.6f}, f0(r_star)={sweep.values[0]:.3e}")
     print(f"wrote {scan_path} and {sweep_path}")
@@ -190,9 +194,9 @@ def cmd_simulate(args) -> int:
     for check, est, target, ok in rows:
         print(f"{check:>24s}: {est.mean:.5f} +- {est.std_err:.5f} "
               f"vs {target:.5f} -> {'pass' if ok else 'FAIL'}")
-    out = Path(args.out) if args.out else _out_dir(None) / "sim_checks.csv"
-    _write_csv(out, ["check", "mean", "std_err", "n_paths", "target", "pass"],
-               ([c, est.mean, est.std_err, est.n_paths, t, int(ok)] for c, est, t, ok in rows))
+    out = _write_csv(args.out, "sim_checks.csv",
+                     ["check", "mean", "std_err", "n_paths", "target", "pass"],
+                     ([c, e.mean, e.std_err, e.n_paths, t, int(ok)] for c, e, t, ok in rows))
     print(f"wrote {out}")
     return 0 if all(row[3] for row in rows) else 4
 
@@ -277,9 +281,8 @@ def cmd_detect(args) -> int:
             stopped, t, R = detect_stream(records, r_star, args.gamma)
     except (OSError, csv.Error, ValueError) as exc:
         return _fail(str(exc), 5)
-    out = Path(args.out) if args.out else _out_dir(None) / "detection.csv"
-    _write_csv(
-        out,
+    out = _write_csv(
+        args.out, "detection.csv",
         ["stopped", "alarm_time", "r_final", "threshold"],
         [[int(stopped), t, R, r_star + args.gamma]],
     )
@@ -344,7 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _OutputError as exc:
+        return _fail(str(exc), 2)
 
 
 if __name__ == "__main__":

@@ -268,6 +268,50 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
     assert (tmp_path / "results" / "calibration.csv").exists()
 
 
+def _out_argv(command, tmp_path):
+    """Arguments for a quick run of command, up to its --out value."""
+    if command == "detect":
+        inp = tmp_path / "obs.csv"
+        write_csv(inp, skeleton_rows(6000), header=["dt", "dxi"])
+        return ["detect", "--input", str(inp), "--gamma", "5", "--r-star", "1.0707", "--out"]
+    return {
+        "calibrate": ["calibrate", "--gamma", "2", "--out"],
+        "verify": ["verify", "--gamma", "2", "--grid-n", "301", "--lambda-count", "5",
+                   "--scan-n", "10", "--r-min", "5e-3", "--out"],
+        "simulate": ["simulate", "--gamma", "2", "--checks", "stoptime", "--n-paths", "500",
+                     "--out"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["calibrate", "verify", "simulate", "detect"])
+def test_out_creates_missing_parent_directories(tmp_path, capsys, command):
+    out = tmp_path / "new" / "nested" / "out.csv"
+    assert main([*_out_argv(command, tmp_path), str(out)]) == 0
+    if command == "verify":  # --out names a directory
+        assert {p.name for p in out.iterdir()} == {"f0_scan.csv", "lambda_sweep.csv"}
+    else:
+        assert read_csv(out)[1]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["calibrate", "verify", "simulate", "detect"])
+def test_unusable_out_exits_2_with_one_line(tmp_path, capsys, command):
+    # a directory where a file is expected, and a file where verify expects a directory
+    out = tmp_path / "taken"
+    if command == "verify":
+        out.write_text("keep\n")
+    else:
+        out.mkdir()
+    assert main([*_out_argv(command, tmp_path), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and str(out) in err
+    assert len(err.splitlines()) == 1
+    if command == "verify":
+        assert out.read_text() == "keep\n"
+    else:
+        assert not any(out.iterdir())
+
+
 def test_detect_alarm_on_skeleton(tmp_path, capsys):
     inp = tmp_path / "obs.csv"
     write_csv(inp, skeleton_rows(6000), header=["dt", "dxi"])
